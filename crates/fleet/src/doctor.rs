@@ -16,11 +16,13 @@
 //!   bytes — and a text v1 layer inside a manifest chain is reported as
 //!   `layer-format` (informational: it loads read-only and is rewritten
 //!   as v2 by the next compaction);
-//! * **log integrity** — the framed log's magic and a checksum
-//!   verification of every complete frame, distinguishing a *torn tail*
-//!   (a crash mid-append; recoverable by design, reported as a warning)
-//!   from a checksum mismatch on a complete frame (data corruption, an
-//!   error);
+//! * **log integrity** — the framed log's magic (`OCWAL2`, or a legacy
+//!   `OCWAL1` log, reported as `log-format`: informational, it replays
+//!   read-only and is rewritten as `OCWAL2` before the next append) and a
+//!   verification of every frame's header check and payload checksum,
+//!   distinguishing a *torn tail* (a crash mid-append; recoverable by
+//!   design, reported as a warning) from a failed check on a complete
+//!   header or frame (data corruption, an error);
 //! * **segment lineage** — the base layer's embedded epoch sits strictly
 //!   below every delta's (`segment-generation`): generations seal
 //!   oldest-first, so an inversion means replay would fold layers out of
@@ -778,11 +780,19 @@ fn check_log(dir: &Path, name: &str, report: &mut DoctorReport) {
                 severity: Severity::Error,
                 check: "log-magic",
                 target: name.to_string(),
-                detail: "not an OCWAL1 stream".to_string(),
+                detail: "not an OCWAL2 or legacy OCWAL1 stream".to_string(),
             });
             return;
         }
     };
+    if reader.is_legacy() {
+        report.findings.push(Finding {
+            severity: Severity::Info,
+            check: "log-format",
+            target: name.to_string(),
+            detail: "legacy OCWAL1 log; rewritten as OCWAL2 before the next append".to_string(),
+        });
+    }
     loop {
         match reader.next_batch() {
             Ok(Some(_)) => {}
@@ -792,7 +802,7 @@ fn check_log(dir: &Path, name: &str, report: &mut DoctorReport) {
                     severity: Severity::Error,
                     check: "log-corrupt",
                     target: name.to_string(),
-                    detail: format!("frame {frame} checksum mismatch"),
+                    detail: format!("frame {frame} header check or checksum mismatch"),
                 });
                 report.frames_verified += reader.frames_read() as u64;
                 return;

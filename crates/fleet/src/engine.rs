@@ -11,8 +11,10 @@
 //!   [`ShardedTtkv`] under that shard's stripe lock;
 //! * an optional **WAL appender** receives every batch over a channel and
 //!   appends it to the [`Wal`] before... strictly speaking *while* it is
-//!   applied — batches are sent to the WAL channel before the shard apply,
-//!   and the single appender serialises them into frames;
+//!   applied — each worker encodes its batch into a WAL frame before it
+//!   takes the stripe lock, sends the frame bytes under the lock (so the
+//!   log's per-shard order is apply order), and the single appender only
+//!   writes bytes;
 //! * the **caller**, which on completion merges the shards into one
 //!   consistent [`Ttkv`] and hands it to clustering/repair.
 //!
@@ -35,7 +37,7 @@ use crate::fault::{panic_message, FaultPlan, IngestError};
 use crate::metrics::FleetMetrics;
 use crate::shard::ShardedTtkv;
 use crate::tap::IngestTap;
-use crate::wal::{quantized, Wal, WalError};
+use crate::wal::{quantized, EncodedFrame, Wal, WalError};
 
 /// One simulated machine in the fleet: a named seed-deterministic workload.
 #[derive(Debug, Clone, PartialEq)]
@@ -429,14 +431,15 @@ pub fn ingest_into(
     }
 }
 
-/// One message on the WAL lane: a batch to append, or an instruction from
-/// the retention sweeper to compact the log pruned to a horizon — either
-/// incrementally (`Compact`, a mid-run delta layer, O(delta)) or as a full
-/// fold (`Rebase`, the sweeper's final message, leaving one pruned base on
-/// disk). All are handled by the single appender, which is what keeps the
-/// `Wal` single-owner and the compaction off the ingest workers' hot path.
+/// One message on the WAL lane: a frame a worker encoded, to append, or an
+/// instruction from the retention sweeper to compact the log pruned to a
+/// horizon — either incrementally (`Compact`, a mid-run delta layer,
+/// O(delta)) or as a full fold (`Rebase`, the sweeper's final message,
+/// leaving one pruned base on disk). All are handled by the single
+/// appender, which is what keeps the `Wal` single-owner and the compaction
+/// off the ingest workers' hot path.
 enum WalMsg {
-    Batch(Vec<TraceOp>),
+    Frame(EncodedFrame),
     Compact(Timestamp),
     Rebase(Timestamp),
 }
@@ -518,8 +521,8 @@ pub fn ingest_live(
                         }
                         let started = Stopwatch::start_if(metrics.is_some());
                         match msg {
-                            WalMsg::Batch(batch) => {
-                                wal.append(&batch)?;
+                            WalMsg::Frame(frame) => {
+                                wal.append_frame(&frame)?;
                                 frames += 1;
                                 if crash_after.is_some_and(|cap| frames >= cap) {
                                     wal.flush()?;
@@ -657,19 +660,13 @@ pub fn ingest_live(
                                             // the drained events (§5.8). The clone
                                             // is tap-path-only.
                                             let tapped = tap.map(|_| batch.clone());
-                                            // The WAL send happens under the shard
-                                            // lock so the log's per-shard order
-                                            // equals apply order.
-                                            sharded.append_batch_observed(
+                                            append_with_wal(
+                                                sharded,
                                                 shard,
                                                 batch,
-                                                |b| {
-                                                    if let Some(tx) = &wal_tx {
-                                                        let _ = tx.send(WalMsg::Batch(b.to_vec()));
-                                                    }
-                                                },
+                                                wal_tx.as_ref(),
                                                 metrics,
-                                            );
+                                            )?;
                                             if let (Some(tap), Some(batch)) = (tap, tapped) {
                                                 tap.on_batch(shard, &batch);
                                             }
@@ -680,16 +677,13 @@ pub fn ingest_live(
                                             continue;
                                         }
                                         let tapped = tap.map(|_| batch.clone());
-                                        sharded.append_batch_observed(
+                                        append_with_wal(
+                                            sharded,
                                             shard,
                                             batch,
-                                            |b| {
-                                                if let Some(tx) = &wal_tx {
-                                                    let _ = tx.send(WalMsg::Batch(b.to_vec()));
-                                                }
-                                            },
+                                            wal_tx.as_ref(),
                                             metrics,
-                                        );
+                                        )?;
                                         if let (Some(tap), Some(batch)) = (tap, tapped) {
                                             tap.on_batch(shard, &batch);
                                         }
@@ -821,6 +815,44 @@ pub fn ingest_live(
     }
     wal_result?;
     Ok(report)
+}
+
+/// Applies one batch to its shard, logging it first when a WAL lane is
+/// open.
+///
+/// The frame is encoded here, on the ingest worker and outside any lock,
+/// so stripe-lock hold time and the single appender see only a byte
+/// buffer; the send itself happens under the shard lock so the log's
+/// per-shard order equals apply order.
+fn append_with_wal(
+    sharded: &ShardedTtkv,
+    shard: usize,
+    batch: Vec<TraceOp>,
+    wal_tx: Option<&mpsc::Sender<WalMsg>>,
+    metrics: Option<&FleetMetrics>,
+) -> Result<(), IngestError> {
+    let frame = match wal_tx {
+        Some(_) => {
+            let started = Stopwatch::start_if(metrics.is_some());
+            let frame = EncodedFrame::encode(&batch).map_err(IngestError::Wal)?;
+            if let (Some(m), Some(sw)) = (metrics, started) {
+                m.wal_encode.record_duration(sw.elapsed());
+            }
+            Some(frame)
+        }
+        None => None,
+    };
+    sharded.append_batch_observed(
+        shard,
+        batch,
+        |_| {
+            if let (Some(tx), Some(frame)) = (wal_tx, frame) {
+                let _ = tx.send(WalMsg::Frame(frame));
+            }
+        },
+        metrics,
+    );
+    Ok(())
 }
 
 /// Locks a mutex, accepting a poisoned one: the panic that poisoned it is

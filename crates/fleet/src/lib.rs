@@ -90,4 +90,4 @@ pub use fault::{FaultPlan, IngestError};
 pub use metrics::FleetMetrics;
 pub use shard::{key_hash, EpochSnapshot, ShardedTtkv, DEFAULT_SEAL_THRESHOLD};
 pub use tap::{IngestTap, LaneEvent, WriteLanes};
-pub use wal::{Wal, WalError, WalReader, WalWriter, WAL_MAGIC};
+pub use wal::{Wal, WalError, WalReader, WalWriter, WAL_MAGIC, WAL_MAGIC_V1};

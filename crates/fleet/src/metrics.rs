@@ -31,8 +31,11 @@ pub struct FleetMetrics {
     /// Time spent applying a batch under the stripe lock, WAL send
     /// included (`fleet.shard.batch_apply_us`).
     pub batch_apply: Arc<Histogram>,
-    /// WAL frame append latency on the appender thread
-    /// (`fleet.wal.append_us`).
+    /// Time an ingest worker spends encoding one batch into a WAL frame,
+    /// outside any lock (`fleet.wal.encode_us`).
+    pub wal_encode: Arc<Histogram>,
+    /// WAL frame append latency on the appender thread: writing bytes a
+    /// worker already encoded (`fleet.wal.append_us`).
     pub wal_append: Arc<Histogram>,
     /// WAL flush/fsync latency (`fleet.wal.flush_us`).
     pub wal_flush: Arc<Histogram>,
@@ -79,6 +82,7 @@ impl FleetMetrics {
             ingest_ops: registry.counter("fleet.ingest.ops"),
             lock_wait: registry.histogram("fleet.shard.lock_wait_us"),
             batch_apply: registry.histogram("fleet.shard.batch_apply_us"),
+            wal_encode: registry.histogram("fleet.wal.encode_us"),
             wal_append: registry.histogram("fleet.wal.append_us"),
             wal_flush: registry.histogram("fleet.wal.flush_us"),
             wal_compact: registry.histogram("fleet.wal.compact_us"),
@@ -118,6 +122,7 @@ mod tests {
             "fleet.ingest.ops",
             "fleet.shard.lock_wait_us",
             "fleet.shard.batch_apply_us",
+            "fleet.wal.encode_us",
             "fleet.wal.append_us",
             "fleet.wal.flush_us",
             "fleet.wal.compact_us",

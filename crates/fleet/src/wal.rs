@@ -9,15 +9,24 @@
 //!
 //! ```text
 //! file     := magic frame*
-//! magic    := "OCWAL1\n"
-//! frame    := u32:payload_len u32:fnv1a(payload) payload
-//! payload  := u32:op_count op*            -- see crate::codec for `op`
+//! magic    := "OCWAL2\n"
+//! frame    := u32:payload_len u32:fnv1a(payload) u32:fnv1a(len ‖ crc) payload
+//! payload  := uv:op_count op*          -- see crate::codec for `op`
 //! ```
 //!
-//! A reader accepts any clean prefix: a frame whose length or payload is cut
-//! short (a torn tail write) ends the log without error, while a checksum
-//! mismatch on a *complete* frame is reported as corruption. This is the
-//! classic WAL recovery contract.
+//! A reader accepts any clean prefix: a frame whose header or payload is
+//! cut short (a torn tail write) ends the log without error. Because the
+//! header carries its own check, everything else is reported as
+//! corruption — a header whose check fails (a damaged length cannot pass
+//! as a short read) or a complete payload whose checksum fails. This is
+//! the classic WAL recovery contract, made exact.
+//!
+//! Ingest workers encode frames themselves ([`EncodedFrame`]), outside any
+//! lock; the single appender only writes bytes. Legacy `OCWAL1` logs
+//! (magic `"OCWAL1\n"`, no header check, fixed-width ops) still replay
+//! through a decode-only path, sniffed by magic. Before the first append to
+//! one, [`Wal`] rewrites it as `OCWAL2` into a temp file and renames it
+//! into place, so no file ever holds both formats.
 //!
 //! ## Layered snapshot compaction
 //!
@@ -50,20 +59,27 @@ use std::path::PathBuf;
 use ocasta_trace::TraceOp;
 use ocasta_ttkv::{PruneStats, TimeDelta, TimePrecision, Timestamp, Ttkv, TtkvBuilder};
 
-use crate::codec::{decode_op, encode_op, CodecError};
+use crate::codec::{
+    decode_payload, decode_v1_payload, encode_frame, CodecError, FrameHeader, FRAME_HEADER_LEN,
+    V1_FRAME_HEADER_LEN,
+};
 use crate::hash::fnv1a_32 as fnv1a;
 
-/// File magic for WAL streams.
-pub const WAL_MAGIC: &[u8; 7] = b"OCWAL1\n";
+/// File magic for WAL streams: every writer emits `OCWAL2` frames.
+pub const WAL_MAGIC: &[u8; 7] = b"OCWAL2\n";
+
+/// File magic of legacy `OCWAL1` streams, which are read but never written.
+pub const WAL_MAGIC_V1: &[u8; 7] = b"OCWAL1\n";
 
 /// Errors arising from WAL I/O, framing or decoding.
 #[derive(Debug)]
 pub enum WalError {
     /// An underlying I/O failure.
     Io(io::Error),
-    /// The stream does not start with [`WAL_MAGIC`].
+    /// The stream starts with neither [`WAL_MAGIC`] nor [`WAL_MAGIC_V1`].
     BadMagic,
-    /// A complete frame whose checksum does not match its payload.
+    /// A complete frame header whose check fails, or a complete payload
+    /// whose checksum does not match.
     Corrupt {
         /// Zero-based index of the corrupt frame.
         frame: usize,
@@ -80,8 +96,10 @@ impl std::fmt::Display for WalError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             WalError::Io(e) => write!(f, "wal io: {e}"),
-            WalError::BadMagic => write!(f, "wal: bad magic (not an OCWAL1 stream)"),
-            WalError::Corrupt { frame } => write!(f, "wal: frame {frame} checksum mismatch"),
+            WalError::BadMagic => write!(f, "wal: bad magic (not an OCWAL2 or OCWAL1 stream)"),
+            WalError::Corrupt { frame } => {
+                write!(f, "wal: frame {frame} header check or checksum mismatch")
+            }
             WalError::Codec(e) => write!(f, "wal: {e}"),
             WalError::Snapshot(e) => write!(f, "wal snapshot: {e}"),
             WalError::Manifest(e) => write!(f, "wal manifest: {e}"),
@@ -100,6 +118,25 @@ impl From<io::Error> for WalError {
 impl From<CodecError> for WalError {
     fn from(e: CodecError) -> Self {
         WalError::Codec(e)
+    }
+}
+
+/// One batch encoded as a complete `OCWAL2` frame, header included — what
+/// an ingest worker builds before it takes a stripe lock, so the appender
+/// only has to write bytes.
+#[derive(Debug)]
+pub(crate) struct EncodedFrame(Vec<u8>);
+
+impl EncodedFrame {
+    /// Encodes `batch` as one frame.
+    ///
+    /// # Errors
+    ///
+    /// [`WalError::Codec`] if the payload exceeds the frame length field.
+    pub(crate) fn encode(batch: &[TraceOp]) -> Result<Self, WalError> {
+        let mut bytes = Vec::with_capacity(FRAME_HEADER_LEN + 8 * batch.len());
+        encode_frame(batch, &mut bytes)?;
+        Ok(EncodedFrame(bytes))
     }
 }
 
@@ -126,7 +163,7 @@ impl<W: Write> WalWriter<W> {
         })
     }
 
-    /// Resumes an existing stream (magic already present).
+    /// Resumes an existing `OCWAL2` stream (magic already present).
     pub fn resume(sink: W, existing_frames: usize) -> Self {
         WalWriter {
             sink,
@@ -135,25 +172,27 @@ impl<W: Write> WalWriter<W> {
         }
     }
 
-    /// Appends one batch of ops as a single frame.
+    /// Encodes one batch of ops and appends it as a single frame. Empty
+    /// batches write nothing.
     ///
     /// # Errors
     ///
-    /// Propagates writer failures.
+    /// Propagates writer failures; [`WalError::Codec`] if the batch does
+    /// not fit one frame.
     pub fn append(&mut self, batch: &[TraceOp]) -> Result<(), WalError> {
         if batch.is_empty() {
             return Ok(());
         }
         self.scratch.clear();
-        self.scratch
-            .extend_from_slice(&(batch.len() as u32).to_le_bytes());
-        for op in batch {
-            encode_op(op, &mut self.scratch);
-        }
-        self.sink
-            .write_all(&(self.scratch.len() as u32).to_le_bytes())?;
-        self.sink.write_all(&fnv1a(&self.scratch).to_le_bytes())?;
+        encode_frame(batch, &mut self.scratch)?;
         self.sink.write_all(&self.scratch)?;
+        self.frames += 1;
+        Ok(())
+    }
+
+    /// Appends a frame an ingest worker already encoded.
+    pub(crate) fn append_frame(&mut self, frame: &EncodedFrame) -> Result<(), WalError> {
+        self.sink.write_all(&frame.0)?;
         self.frames += 1;
         Ok(())
     }
@@ -175,10 +214,13 @@ impl<W: Write> WalWriter<W> {
 }
 
 /// Reads framed op batches from any reader, stopping cleanly at a torn
-/// tail.
+/// tail. Accepts `OCWAL2` streams and, decode-only, legacy `OCWAL1` ones.
 #[derive(Debug)]
 pub struct WalReader<R: Read> {
     source: R,
+    legacy: bool,
+    /// Payload buffer, reused across frames.
+    payload: Vec<u8>,
     frames_read: usize,
     torn_tail: bool,
     clean_bytes: u64,
@@ -193,15 +235,27 @@ impl<R: Read> WalReader<R> {
     /// through.
     pub fn new(mut source: R) -> Result<Self, WalError> {
         let mut magic = [0u8; WAL_MAGIC.len()];
-        if read_chunk(&mut source, &mut magic)? != ReadStatus::Full || &magic != WAL_MAGIC {
+        if read_chunk(&mut source, &mut magic)? != ReadStatus::Full {
             return Err(WalError::BadMagic);
         }
+        let legacy = match &magic {
+            m if m == WAL_MAGIC => false,
+            m if m == WAL_MAGIC_V1 => true,
+            _ => return Err(WalError::BadMagic),
+        };
         Ok(WalReader {
             source,
+            legacy,
+            payload: Vec::new(),
             frames_read: 0,
             torn_tail: false,
             clean_bytes: WAL_MAGIC.len() as u64,
         })
+    }
+
+    /// `true` if this is a legacy `OCWAL1` stream.
+    pub fn is_legacy(&self) -> bool {
+        self.legacy
     }
 
     /// Reads the next batch, or `None` at end of log (including a torn
@@ -209,11 +263,18 @@ impl<R: Read> WalReader<R> {
     ///
     /// # Errors
     ///
-    /// [`WalError::Corrupt`] for a complete frame with a bad checksum,
-    /// [`WalError::Codec`] for undecodable payloads, I/O errors otherwise.
+    /// [`WalError::Corrupt`] for a complete frame whose header check or
+    /// payload checksum fails, [`WalError::Codec`] for undecodable
+    /// payloads, I/O errors otherwise.
     pub fn next_batch(&mut self) -> Result<Option<Vec<TraceOp>>, WalError> {
-        let mut header = [0u8; 8];
-        match read_chunk(&mut self.source, &mut header)? {
+        let mut header = [0u8; FRAME_HEADER_LEN];
+        let header_len = if self.legacy {
+            V1_FRAME_HEADER_LEN
+        } else {
+            FRAME_HEADER_LEN
+        };
+        let (head, _) = header.split_at_mut(header_len);
+        match read_chunk(&mut self.source, head)? {
             ReadStatus::Full => {}
             ReadStatus::Empty => return Ok(None),
             ReadStatus::Partial => {
@@ -221,37 +282,44 @@ impl<R: Read> WalReader<R> {
                 return Ok(None);
             }
         }
-        let [l0, l1, l2, l3, c0, c1, c2, c3] = header;
-        let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
-        let checksum = u32::from_le_bytes([c0, c1, c2, c3]);
-        let mut payload = vec![0u8; len];
-        if read_chunk(&mut self.source, &mut payload)? != ReadStatus::Full {
+        let FrameHeader { len, crc } = if self.legacy {
+            // OCWAL1 has no header check: an over-long length reads as a
+            // torn tail, the ambiguity OCWAL2 exists to remove.
+            let [l0, l1, l2, l3, c0, c1, c2, c3, ..] = header;
+            FrameHeader {
+                len: u32::from_le_bytes([l0, l1, l2, l3]),
+                crc: u32::from_le_bytes([c0, c1, c2, c3]),
+            }
+        } else {
+            FrameHeader::parse(&header).ok_or(WalError::Corrupt {
+                frame: self.frames_read,
+            })?
+        };
+        // Read at most `len` bytes into the reused buffer: it grows only
+        // with bytes that exist, so a torn tail never allocates what its
+        // header promised.
+        self.payload.clear();
+        (&mut self.source)
+            .take(u64::from(len))
+            .read_to_end(&mut self.payload)?;
+        if self.payload.len() < len as usize {
             self.torn_tail = true;
             return Ok(None);
         }
-        if fnv1a(&payload) != checksum {
+        if fnv1a(&self.payload) != crc {
             return Err(WalError::Corrupt {
                 frame: self.frames_read,
             });
         }
-        let mut slice = payload.as_slice();
-        let mut count_bytes = [0u8; 4];
-        count_bytes.copy_from_slice(
-            slice
-                .get(..4)
-                .ok_or_else(|| CodecError("frame shorter than op count".into()))?,
-        );
-        slice = slice.get(4..).unwrap_or(&[]);
-        let count = u32::from_le_bytes(count_bytes) as usize;
-        let mut ops = Vec::with_capacity(count.min(slice.len()));
-        for _ in 0..count {
-            ops.push(decode_op(&mut slice)?);
-        }
-        if !slice.is_empty() {
-            return Err(CodecError("trailing bytes in frame".into()).into());
+        let base = (self.clean_bytes as usize).saturating_add(header_len);
+        let mut ops = Vec::new();
+        if self.legacy {
+            decode_v1_payload(&self.payload, base, &mut ops)?;
+        } else {
+            decode_payload(&self.payload, base, &mut ops)?;
         }
         self.frames_read += 1;
-        self.clean_bytes += 8 + payload.len() as u64;
+        self.clean_bytes += (header_len + self.payload.len()) as u64;
         Ok(Some(ops))
     }
 
@@ -656,11 +724,15 @@ impl Wal {
             // failure on a *complete* frame still errors: that is data
             // corruption, not a torn tail.
             let mut scan = WalReader::new(BufReader::new(File::open(&path)?))?;
-            while scan.next_batch()?.is_some() {}
-            existing_frames = scan.frames_read();
-            if scan.clean_bytes() < log_len {
-                let file = OpenOptions::new().write(true).open(&path)?;
-                file.set_len(scan.clean_bytes())?;
+            if scan.is_legacy() {
+                existing_frames = self.upgrade_legacy_log(scan)?;
+            } else {
+                while scan.next_batch()?.is_some() {}
+                existing_frames = scan.frames_read();
+                if scan.clean_bytes() < log_len {
+                    let file = OpenOptions::new().write(true).open(&path)?;
+                    file.set_len(scan.clean_bytes())?;
+                }
             }
         }
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
@@ -672,13 +744,44 @@ impl Wal {
         })
     }
 
-    /// Appends one batch as a frame.
+    /// Rewrites the legacy `OCWAL1` log `scan` is reading as `OCWAL2`,
+    /// frame for frame, and returns the frame count.
+    ///
+    /// The new log is written beside the old one as a temp file, made
+    /// durable, then renamed over it: the rename is the commit point, so a
+    /// crash leaves either the complete old log or the complete new one
+    /// (plus a temp file the next [`Wal::open`] sweeps), and no file ever
+    /// holds frames of both formats. A torn legacy tail is dropped exactly
+    /// as truncation would drop it; corruption aborts with the old log
+    /// untouched.
+    fn upgrade_legacy_log(&self, mut scan: WalReader<BufReader<File>>) -> Result<usize, WalError> {
+        let path = self.log_path();
+        let tmp = self.dir.join(format!("{}.tmp", self.manifest.log_name()));
+        let mut writer = WalWriter::new(BufWriter::new(File::create(&tmp)?))?;
+        while let Some(batch) = scan.next_batch()? {
+            writer.append(&batch)?;
+        }
+        writer.flush()?;
+        writer.sink.get_ref().sync_all()?;
+        std::fs::rename(&tmp, &path)?;
+        if let Ok(dir) = File::open(&self.dir) {
+            let _ = dir.sync_all();
+        }
+        Ok(writer.frames())
+    }
+
+    /// Encodes one batch and appends it as a frame.
     ///
     /// # Errors
     ///
     /// Propagates filesystem failures.
     pub fn append(&mut self, batch: &[TraceOp]) -> Result<(), WalError> {
         self.writer()?.append(batch)
+    }
+
+    /// Appends a frame an ingest worker already encoded.
+    pub(crate) fn append_frame(&mut self, frame: &EncodedFrame) -> Result<(), WalError> {
+        self.writer()?.append_frame(frame)
     }
 
     /// Flushes buffered frames to the file.
@@ -1099,9 +1202,19 @@ mod tests {
     fn undersized_frame_payload_is_a_codec_error() {
         // Regression: a checksum-valid frame whose payload is shorter
         // than its own op-count header must surface as a structured
-        // error on the replay path, not a slice panic.
+        // error on the replay path, not a slice panic. OCWAL2: an empty
+        // payload has no op count at all.
         let mut bytes = WAL_MAGIC.to_vec();
-        let payload = [0u8; 2]; // too short to hold the 4-byte op count
+        let header = [0u8, 0, 0, 0].into_iter().chain(fnv1a(&[]).to_le_bytes());
+        let header: Vec<u8> = header.collect();
+        bytes.extend_from_slice(&header);
+        bytes.extend_from_slice(&fnv1a(&header).to_le_bytes());
+        let mut reader = WalReader::new(bytes.as_slice()).unwrap();
+        assert!(matches!(reader.next_batch(), Err(WalError::Codec(_))));
+
+        // Legacy OCWAL1: a payload too short for its 4-byte op count.
+        let mut bytes = WAL_MAGIC_V1.to_vec();
+        let payload = [0u8; 2];
         bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         bytes.extend_from_slice(&fnv1a(&payload).to_le_bytes());
         bytes.extend_from_slice(&payload);

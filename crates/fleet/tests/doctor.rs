@@ -193,6 +193,33 @@ fn checksum_flip_in_a_complete_frame_is_a_corruption_error() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Regression for `failing_seeds/006`: a flipped bit in a middle frame's
+/// length once read as a torn tail (a Warning that promised truncation of
+/// acknowledged frames). The header check makes it an Error.
+#[test]
+fn length_bit_flip_in_a_middle_frame_is_a_corruption_error() {
+    let bytes = encoded();
+    let frame1 = frame_boundaries(&bytes)[0];
+    let dir = scratch("length-flip");
+    for bit in 0..32 {
+        let mut flipped = bytes.clone();
+        flipped[frame1 + bit / 8] ^= 1 << (bit % 8);
+        std::fs::write(dir.join("wal.log"), &flipped).unwrap();
+        let report = diagnose(&dir);
+        assert_eq!(
+            checks(&report, Severity::Error),
+            vec!["log-corrupt"],
+            "bit {bit}: {report}"
+        );
+        assert!(
+            checks(&report, Severity::Warning).is_empty(),
+            "bit {bit}: {report}"
+        );
+        assert_eq!(report.frames_verified, 1, "bit {bit}: {report}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The mid-write-delta corpus from `torn_tail.rs`: a torn (or complete but
 /// uncommitted) delta next to an intact manifest is an orphan — a warning,
 /// never an error, at *every* truncation offset.

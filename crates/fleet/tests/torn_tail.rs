@@ -319,3 +319,65 @@ fn truncation_inside_the_magic_resets_the_file_on_reopen() {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
+
+/// Byte offsets `[start, end)` of every frame in a complete log.
+fn frame_spans(bytes: &[u8]) -> Vec<(usize, usize)> {
+    let ends = frame_boundaries(bytes);
+    let starts = std::iter::once(WAL_MAGIC.len()).chain(ends.iter().copied());
+    starts.zip(ends.iter().copied()).collect()
+}
+
+/// A complete frame is never a torn tail: every single-byte change to any
+/// byte of any frame — header or payload, first frame or last — must be
+/// reported as corruption. Never `Ok` with fewer ops, never a panic.
+#[test]
+fn every_single_byte_flip_inside_a_complete_frame_is_corrupt() {
+    let bytes = encoded();
+    for (start, end) in frame_spans(&bytes) {
+        for at in start..end {
+            for mask in 1..=u8::MAX {
+                let mut flipped = bytes.clone();
+                flipped[at] ^= mask;
+                let mut reader = WalReader::new(flipped.as_slice()).unwrap();
+                match reader.read_all() {
+                    Err(WalError::Corrupt { .. }) => {}
+                    other => panic!("byte {at} ^ {mask:#04x}: expected Corrupt, got {other:?}"),
+                }
+                assert!(!reader.torn_tail(), "byte {at} ^ {mask:#04x} read as torn");
+            }
+        }
+    }
+}
+
+/// Regression for `failing_seeds/006`: one flipped bit in a middle frame's
+/// length used to read as a short payload — a "torn tail" — so replay
+/// silently dropped that frame and every acknowledged frame behind it, and
+/// the next open truncated them away for good. The header check turns it
+/// into corruption: replay fails, and the writer refuses to truncate.
+#[test]
+fn length_bit_flip_in_a_middle_frame_is_corrupt_not_torn() {
+    let bytes = encoded();
+    let (frame1, _) = frame_spans(&bytes)[1];
+    let dir = std::env::temp_dir().join(format!("ocasta-wal-len-flip-{}", std::process::id()));
+    for bit in 0..32 {
+        let mut flipped = bytes.clone();
+        flipped[frame1 + bit / 8] ^= 1 << (bit % 8);
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("wal.log"), &flipped).unwrap();
+
+        let replayed = Wal::open(&dir).unwrap().replay(TimePrecision::Milliseconds);
+        assert!(
+            matches!(replayed, Err(WalError::Corrupt { frame: 1 })),
+            "bit {bit}: {replayed:?}"
+        );
+        let mut wal = Wal::open(&dir).unwrap();
+        assert!(
+            wal.append(&batches()[0]).is_err(),
+            "bit {bit}: an append must not truncate acknowledged frames"
+        );
+        drop(wal);
+        assert_eq!(std::fs::read(dir.join("wal.log")).unwrap(), flipped);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

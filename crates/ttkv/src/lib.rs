@@ -37,6 +37,7 @@
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod binary;
 pub mod codec;
 pub mod hash;
 

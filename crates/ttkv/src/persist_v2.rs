@@ -43,16 +43,18 @@
 //!   files keep loading through the same entry point.
 //!
 //! The checksum is the same FNV-1a the fleet WAL frames use
-//! ([`crate::hash::fnv1a_32`]) — snapshots and the WAL share one seam.
+//! ([`crate::hash::fnv1a_32`]), and the varint and value primitives come
+//! from [`crate::binary`], which the fleet's `OCWAL2` log frames use too —
+//! snapshots and the WAL share one seam.
 
 use std::io::{BufRead, Write};
 
+use crate::binary::{put_uv, put_value, Reader};
 use crate::error::TtkvError;
 use crate::hash::fnv1a_32;
 use crate::record::KeyRecord;
 use crate::store::Ttkv;
 use crate::time::Timestamp;
-use crate::value::Value;
 use crate::{Key, Version};
 
 /// Magic prefix of an `ocasta-ttkv binary v2` segment, newline included.
@@ -65,15 +67,6 @@ const TAG_RECORDS: u8 = b'R';
 /// Section tag for the (empty) end marker.
 const TAG_END: u8 = b'E';
 
-/// Value tags, shared layout family with the fleet WAL op codec.
-const VAL_NULL: u8 = 0x00;
-const VAL_FALSE: u8 = 0x01;
-const VAL_TRUE: u8 = 0x02;
-const VAL_INT: u8 = 0x03;
-const VAL_FLOAT: u8 = 0x04;
-const VAL_STR: u8 = 0x05;
-const VAL_LIST: u8 = 0x06;
-
 /// Record flags.
 const FLAG_BASELINE: u8 = 0b0000_0001;
 const FLAG_BASELINE_DEAD: u8 = 0b0000_0010;
@@ -82,60 +75,9 @@ const FLAG_BASELINE_DEAD: u8 = 0b0000_0010;
 const KIND_WRITE: u8 = 0x00;
 const KIND_TOMBSTONE: u8 = 0x01;
 
-/// Maximum nesting depth accepted when decoding list values (matches the
-/// fleet WAL op codec's bound).
-const MAX_VALUE_DEPTH: u32 = 32;
-
 // ---------------------------------------------------------------------------
 // Encoding
 // ---------------------------------------------------------------------------
-
-/// Appends an LEB128 unsigned varint.
-fn put_uv(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7F) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-/// Appends a zigzag-encoded signed varint.
-fn put_iv(out: &mut Vec<u8>, v: i64) {
-    put_uv(out, ((v << 1) ^ (v >> 63)) as u64);
-}
-
-/// Appends one encoded value.
-fn put_value(out: &mut Vec<u8>, value: &Value) {
-    match value {
-        Value::Null => out.push(VAL_NULL),
-        Value::Bool(false) => out.push(VAL_FALSE),
-        Value::Bool(true) => out.push(VAL_TRUE),
-        Value::Int(i) => {
-            out.push(VAL_INT);
-            put_iv(out, *i);
-        }
-        Value::Float(f) => {
-            out.push(VAL_FLOAT);
-            out.extend_from_slice(&f.to_bits().to_le_bytes());
-        }
-        Value::Str(s) => {
-            out.push(VAL_STR);
-            put_uv(out, s.len() as u64);
-            out.extend_from_slice(s.as_bytes());
-        }
-        Value::List(items) => {
-            out.push(VAL_LIST);
-            put_uv(out, items.len() as u64);
-            for item in items {
-                put_value(out, item);
-            }
-        }
-    }
-}
 
 /// Appends one version (history entry).
 fn put_version(out: &mut Vec<u8>, version: &Version) {
@@ -247,146 +189,6 @@ impl Ttkv {
 // Decoding
 // ---------------------------------------------------------------------------
 
-/// Byte-slice reader that tracks its absolute offset for error reporting.
-struct Reader<'a> {
-    buf: &'a [u8],
-    /// Absolute offset of `buf[pos]` within the segment file.
-    base: usize,
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8], base: usize) -> Self {
-        Reader { buf, base, pos: 0 }
-    }
-
-    /// Absolute offset of the next unread byte.
-    fn offset(&self) -> usize {
-        self.base + self.pos
-    }
-
-    fn is_empty(&self) -> bool {
-        self.pos >= self.buf.len()
-    }
-
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], TtkvError> {
-        let rest = self.buf.get(self.pos..).unwrap_or(&[]);
-        if rest.len() < n {
-            return Err(TtkvError::corrupt(
-                self.offset(),
-                format!("truncated {what}: need {n} bytes, have {}", rest.len()),
-            ));
-        }
-        let (taken, _) = rest.split_at(n);
-        self.pos += n;
-        Ok(taken)
-    }
-
-    fn u8(&mut self, what: &str) -> Result<u8, TtkvError> {
-        let bytes = self.take(1, what)?;
-        match bytes.first() {
-            Some(&b) => Ok(b),
-            None => Err(TtkvError::corrupt(self.offset(), format!("missing {what}"))),
-        }
-    }
-
-    fn u32_le(&mut self, what: &str) -> Result<u32, TtkvError> {
-        let bytes = self.take(4, what)?;
-        let mut arr = [0u8; 4];
-        arr.copy_from_slice(bytes);
-        Ok(u32::from_le_bytes(arr))
-    }
-
-    fn u64_le(&mut self, what: &str) -> Result<u64, TtkvError> {
-        let bytes = self.take(8, what)?;
-        let mut arr = [0u8; 8];
-        arr.copy_from_slice(bytes);
-        Ok(u64::from_le_bytes(arr))
-    }
-
-    /// Reads an LEB128 unsigned varint (≤ 10 bytes).
-    fn uv(&mut self, what: &str) -> Result<u64, TtkvError> {
-        let start = self.offset();
-        let mut value = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let byte = self.u8(what)?;
-            let payload = u64::from(byte & 0x7F);
-            if shift >= 64 || (shift == 63 && payload > 1) {
-                return Err(TtkvError::corrupt(
-                    start,
-                    format!("varint {what} overflows u64"),
-                ));
-            }
-            value |= payload << shift;
-            if byte & 0x80 == 0 {
-                return Ok(value);
-            }
-            shift += 7;
-        }
-    }
-
-    /// Reads a varint and narrows it to a count bounded by the bytes that
-    /// could possibly back it, rejecting absurd values early.
-    fn count(&mut self, what: &str) -> Result<usize, TtkvError> {
-        let start = self.offset();
-        let raw = self.uv(what)?;
-        let remaining = self.buf.len().saturating_sub(self.pos) as u64;
-        if raw > remaining {
-            return Err(TtkvError::corrupt(
-                start,
-                format!("{what} {raw} exceeds remaining payload ({remaining} bytes)"),
-            ));
-        }
-        usize::try_from(raw)
-            .map_err(|_| TtkvError::corrupt(start, format!("{what} {raw} does not fit usize")))
-    }
-}
-
-/// Reads one zigzag-encoded signed varint.
-fn get_iv(r: &mut Reader<'_>, what: &str) -> Result<i64, TtkvError> {
-    let raw = r.uv(what)?;
-    Ok(((raw >> 1) as i64) ^ -((raw & 1) as i64))
-}
-
-/// Reads one encoded value.
-fn get_value(r: &mut Reader<'_>, depth: u32) -> Result<Value, TtkvError> {
-    if depth > MAX_VALUE_DEPTH {
-        return Err(TtkvError::corrupt(
-            r.offset(),
-            format!("value nesting exceeds depth {MAX_VALUE_DEPTH}"),
-        ));
-    }
-    let start = r.offset();
-    let tag = r.u8("value tag")?;
-    match tag {
-        VAL_NULL => Ok(Value::Null),
-        VAL_FALSE => Ok(Value::Bool(false)),
-        VAL_TRUE => Ok(Value::Bool(true)),
-        VAL_INT => Ok(Value::Int(get_iv(r, "int value")?)),
-        VAL_FLOAT => Ok(Value::Float(f64::from_bits(r.u64_le("float value")?))),
-        VAL_STR => {
-            let len = r.count("string length")?;
-            let bytes = r.take(len, "string value")?;
-            let s = std::str::from_utf8(bytes)
-                .map_err(|e| TtkvError::corrupt(start, format!("string value not UTF-8: {e}")))?;
-            Ok(Value::Str(s.to_owned()))
-        }
-        VAL_LIST => {
-            let count = r.count("list length")?;
-            let mut items = Vec::with_capacity(count.min(1024));
-            for _ in 0..count {
-                items.push(get_value(r, depth + 1)?);
-            }
-            Ok(Value::List(items))
-        }
-        other => Err(TtkvError::corrupt(
-            start,
-            format!("unknown value tag 0x{other:02x}"),
-        )),
-    }
-}
-
 /// Reads one framed section, verifying tag and checksum, and returns the
 /// payload together with its absolute offset.
 fn read_section<'a>(r: &mut Reader<'a>, expect_tag: u8) -> Result<(Reader<'a>, usize), TtkvError> {
@@ -435,9 +237,7 @@ fn decode_segment(bytes: &[u8]) -> Result<Ttkv, TtkvError> {
     for _ in 0..key_count {
         let at = keys_r.offset();
         let len = keys_r.count("key length")?;
-        let raw = keys_r.take(len, "key name")?;
-        let name = std::str::from_utf8(raw)
-            .map_err(|e| TtkvError::corrupt(at, format!("key name not UTF-8: {e}")))?;
+        let name = keys_r.str(len, "key name")?;
         if let Some(p) = prev {
             if name <= p {
                 return Err(TtkvError::corrupt(
@@ -504,7 +304,7 @@ fn decode_segment(bytes: &[u8]) -> Result<Ttkv, TtkvError> {
             if flags & FLAG_BASELINE_DEAD != 0 {
                 record.set_baseline(Version::tombstone(ts));
             } else {
-                let value = get_value(&mut rec_r, 0)?;
+                let value = rec_r.value()?;
                 record.set_baseline(Version::write(ts, value));
             }
         }
@@ -515,7 +315,7 @@ fn decode_segment(bytes: &[u8]) -> Result<Ttkv, TtkvError> {
             let ts = Timestamp::from_millis(rec_r.uv("version timestamp")?);
             match kind {
                 KIND_WRITE => {
-                    let value = get_value(&mut rec_r, 0)?;
+                    let value = rec_r.value()?;
                     record.record_mutation(Version::write(ts, value));
                 }
                 KIND_TOMBSTONE => record.record_mutation(Version::tombstone(ts)),
@@ -554,7 +354,7 @@ fn decode_segment(bytes: &[u8]) -> Result<Ttkv, TtkvError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TimeDelta;
+    use crate::{TimeDelta, Value};
 
     fn sample_store() -> Ttkv {
         let mut store = Ttkv::new();
@@ -723,9 +523,9 @@ mod tests {
     fn zigzag_roundtrips_extremes() {
         for v in [0i64, -1, 1, i64::MIN, i64::MAX, -123_456_789] {
             let mut buf = Vec::new();
-            put_iv(&mut buf, v);
+            crate::binary::put_iv(&mut buf, v);
             let mut r = Reader::new(&buf, 0);
-            assert_eq!(get_iv(&mut r, "test").unwrap(), v);
+            assert_eq!(r.iv("test").unwrap(), v);
         }
     }
 
