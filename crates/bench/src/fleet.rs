@@ -7,7 +7,10 @@
 //! (`cargo run -p ocasta-bench --bin fleet --release`).
 
 use ocasta::fleet::{fleet_machines, FleetRunConfig};
-use ocasta::{fleet_ingest, FleetConfig, KeyPlacement, MachineSpec, TimePrecision};
+use ocasta::{
+    fleet_ingest_live, FleetConfig, IngestOptions, KeyPlacement, MachineSpec, ShardedTtkv,
+    TimePrecision,
+};
 
 use crate::render_table;
 
@@ -79,13 +82,20 @@ pub fn sweep(thread_counts: &[usize], shard_counts: &[usize]) -> Vec<Sample> {
                 retention: None,
                 ..FleetConfig::default()
             };
-            let (_, report) = fleet_ingest(&machines, &config);
+            let sharded = ShardedTtkv::with_seal_threshold(config.shards, config.seal_threshold);
+            let report = fleet_ingest_live(&machines, &config, &sharded, IngestOptions::default())
+                .expect("no WAL lane, no fault plan");
+            // The merge is part of the total, as it is for any caller that
+            // wants one store; dropping the store is not.
+            let merge_started = std::time::Instant::now();
+            let _store = sharded.into_ttkv();
+            let merged_in = merge_started.elapsed();
             samples.push(Sample {
                 threads,
                 shards,
                 mutations: report.mutations,
                 events_per_sec: report.events_per_sec(),
-                total_secs: (report.ingest_elapsed + report.merge_elapsed).as_secs_f64(),
+                total_secs: (report.ingest_elapsed + merged_in).as_secs_f64(),
             });
         }
     }

@@ -20,8 +20,8 @@ use std::path::Path;
 
 use ocasta::fleet::{fleet_machines, FleetRunConfig};
 use ocasta::{
-    PruneStats, RepairServiceConfig, RetentionPolicy, ShardedTtkv, TimeDelta, TimePrecision,
-    Timestamp, TraceOp, Ttkv, Wal,
+    PruneStats, RepairServiceConfig, RetentionPolicy, ServiceObservers, ShardedTtkv, TimeDelta,
+    TimePrecision, Timestamp, TraceOp, Ttkv, Wal,
 };
 
 use crate::render_table;
@@ -334,17 +334,23 @@ pub fn pinned_session_equivalence() -> String {
     fleet.days = 16;
     fleet.engine.shards = 4;
     fleet.engine.ingest_threads = 2;
-    let without = ocasta::run_repair_service(&RepairServiceConfig {
-        fleet: fleet.clone(),
-        ..base.clone()
-    })
+    let without = ocasta::run_repair_service_observed(
+        &RepairServiceConfig {
+            fleet: fleet.clone(),
+            ..base.clone()
+        },
+        &ServiceObservers::default(),
+    )
     .expect("service runs");
     fleet.engine.retention = Some(RetentionPolicy {
         retain: TimeDelta::from_days(5),
         min_interval: TimeDelta::from_days(1),
     });
-    let with =
-        ocasta::run_repair_service(&RepairServiceConfig { fleet, ..base }).expect("service runs");
+    let with = ocasta::run_repair_service_observed(
+        &RepairServiceConfig { fleet, ..base },
+        &ServiceObservers::default(),
+    )
+    .expect("service runs");
 
     let retention = with.ingest.retention.expect("policy was set");
     assert!(retention.sweeps > 0, "the sweeper must have run");

@@ -10,7 +10,6 @@
 /// Node ids: `0..n` are the original items (leaves); the `k`-th recorded
 /// merge creates node `n + k`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Merge {
     /// Node id of one merged child.
     pub left: usize,
@@ -42,7 +41,6 @@ pub struct Merge {
 /// assert_eq!(clusters, vec![vec![0, 1], vec![2]]);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Dendrogram {
     n_items: usize,
     merges: Vec<Merge>,
@@ -258,7 +256,6 @@ impl UnionFind {
 /// assert_eq!(stats.mean_multi_cluster_size(), 2.5);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PartitionStats {
     /// Total clusters, including singletons.
     pub clusters: usize,

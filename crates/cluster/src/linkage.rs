@@ -7,7 +7,6 @@
 /// software clustering). [`Linkage::Single`] and [`Linkage::Average`] are
 /// provided for the ablation benches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Linkage {
     /// Maximum distance between any two items across the clusters
     /// (the paper's default).

@@ -20,7 +20,6 @@ use std::fmt;
 /// assert!(m.get(0, 1).is_infinite());
 /// ```
 #[derive(Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DistanceMatrix {
     n: usize,
     data: Vec<f64>,

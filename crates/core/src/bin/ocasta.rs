@@ -34,12 +34,12 @@ use std::io::{BufReader, BufWriter};
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use ocasta::fleet::{fleet_machines, parse_placement, run_fleet_observed, FleetRunConfig};
+use ocasta::fleet::{fleet_machines, parse_placement, run_fleet, FleetRunConfig};
 use ocasta::{
-    diagnose, fleet_ingest_observed, generate, model_by_name, run_repair_service_observed,
-    run_vopr, vopr_scenario_names, ClusterParams, FleetMetrics, GeneratorConfig, IngestOptions,
-    Key, Ocasta, OcastaStream, Registry, RepairServiceConfig, RetentionPolicy, SearchStrategy,
-    ServiceMetrics, ServiceObservers, StreamMetrics, TimePrecision, Trace, Ttkv, TtkvStats,
+    diagnose, fleet_ingest_live, generate, model_by_name, run_repair_service_observed, run_vopr,
+    vopr_scenario_names, ClusterParams, FleetMetrics, GeneratorConfig, IngestOptions, Key, Ocasta,
+    OcastaStream, Registry, RepairServiceConfig, RetentionPolicy, SearchStrategy, ServiceMetrics,
+    ServiceObservers, ShardedTtkv, StreamMetrics, TimePrecision, Trace, Ttkv, TtkvStats,
     WriteLanes,
 };
 
@@ -244,20 +244,13 @@ impl Command {
                 while i < rest.len() {
                     match rest[i] {
                         "--window" => window_secs = parse_num(value_of(&rest, &mut i)?)?,
-                        "--threshold" => {
-                            threshold = value_of(&rest, &mut i)?
-                                .parse()
-                                .map_err(|e| format!("bad threshold: {e}"))?
-                        }
+                        "--threshold" => threshold = parse_threshold(value_of(&rest, &mut i)?)?,
                         "--app" => app = Some(value_of(&rest, &mut i)?.to_owned()),
                         "--multi-only" => multi_only = true,
                         other if store.is_none() => store = Some(other.to_owned()),
                         other => return Err(format!("unexpected argument `{other}`")),
                     }
                     i += 1;
-                }
-                if !(threshold > 0.0 && threshold <= 2.0) {
-                    return Err(format!("threshold must be in (0, 2], got {threshold}"));
                 }
                 Ok(Command::Clusters {
                     store: store.ok_or("clusters needs a store file")?,
@@ -272,50 +265,21 @@ impl Command {
                 let mut cluster = false;
                 let mut output = None;
                 let mut metrics_json = None;
-                let mut i = 0;
-                while i < rest.len() {
-                    match rest[i] {
-                        "--machines" => {
-                            config.machines = parse_num(value_of(&rest, &mut i)?)? as usize
-                        }
-                        "--days" => config.days = parse_days("--days", value_of(&rest, &mut i)?)?,
-                        "--retain-days" => {
-                            config.engine.retention = Some(RetentionPolicy::keep_days(parse_days(
-                                "--retain-days",
-                                value_of(&rest, &mut i)?,
-                            )?))
-                        }
-                        "--seed" => config.seed = parse_num(value_of(&rest, &mut i)?)?,
-                        "--threads" => {
-                            config.engine.ingest_threads =
-                                parse_num(value_of(&rest, &mut i)?)? as usize
-                        }
-                        "--shards" => {
-                            config.engine.shards = parse_num(value_of(&rest, &mut i)?)? as usize
-                        }
-                        "--batch" => {
-                            config.engine.batch_size = parse_num(value_of(&rest, &mut i)?)? as usize
-                        }
-                        "--app" => config.apps.push(value_of(&rest, &mut i)?.to_owned()),
-                        "--placement" => {
-                            config.engine.placement = parse_placement(value_of(&rest, &mut i)?)?
-                        }
-                        "--wal" => config.wal_dir = Some(value_of(&rest, &mut i)?.into()),
+                let mut placement = config.engine.placement;
+                let mut wal_dir = None;
+                parse_fleet_args("fleet", &rest, &mut config, |flag, i| {
+                    match flag {
+                        "--placement" => placement = parse_placement(value_of(&rest, i)?)?,
+                        "--wal" => wal_dir = Some(value_of(&rest, i)?.into()),
                         "--cluster" => cluster = true,
-                        "--metrics-json" => {
-                            metrics_json = Some(value_of(&rest, &mut i)?.to_owned())
-                        }
-                        "-o" | "--output" => output = Some(value_of(&rest, &mut i)?.to_owned()),
+                        "--metrics-json" => metrics_json = Some(value_of(&rest, i)?.to_owned()),
+                        "-o" | "--output" => output = Some(value_of(&rest, i)?.to_owned()),
                         other => return Err(format!("unknown argument `{other}`")),
                     }
-                    i += 1;
-                }
-                if config.machines == 0 {
-                    return Err("fleet needs --machines >= 1".into());
-                }
-                if config.days == 0 {
-                    return Err("fleet needs --days >= 1".into());
-                }
+                    Ok(())
+                })?;
+                config.engine.placement = placement;
+                config.wal_dir = wal_dir;
                 Ok(Command::Fleet {
                     config,
                     cluster,
@@ -330,55 +294,17 @@ impl Command {
                 let mut poll_ms = 20u64;
                 let mut verify = false;
                 let mut metrics_json = None;
-                let mut i = 0;
-                while i < rest.len() {
-                    match rest[i] {
-                        "--machines" => {
-                            config.machines = parse_num(value_of(&rest, &mut i)?)? as usize
-                        }
-                        "--days" => config.days = parse_days("--days", value_of(&rest, &mut i)?)?,
-                        "--retain-days" => {
-                            config.engine.retention = Some(RetentionPolicy::keep_days(parse_days(
-                                "--retain-days",
-                                value_of(&rest, &mut i)?,
-                            )?))
-                        }
-                        "--seed" => config.seed = parse_num(value_of(&rest, &mut i)?)?,
-                        "--threads" => {
-                            config.engine.ingest_threads =
-                                parse_num(value_of(&rest, &mut i)?)? as usize
-                        }
-                        "--shards" => {
-                            config.engine.shards = parse_num(value_of(&rest, &mut i)?)? as usize
-                        }
-                        "--batch" => {
-                            config.engine.batch_size = parse_num(value_of(&rest, &mut i)?)? as usize
-                        }
-                        "--app" => config.apps.push(value_of(&rest, &mut i)?.to_owned()),
-                        "--window" => window_secs = parse_num(value_of(&rest, &mut i)?)?,
-                        "--threshold" => {
-                            threshold = value_of(&rest, &mut i)?
-                                .parse()
-                                .map_err(|e| format!("bad threshold: {e}"))?
-                        }
-                        "--poll-ms" => poll_ms = parse_num(value_of(&rest, &mut i)?)?,
+                parse_fleet_args("stream", &rest, &mut config, |flag, i| {
+                    match flag {
+                        "--window" => window_secs = parse_num(value_of(&rest, i)?)?,
+                        "--threshold" => threshold = parse_threshold(value_of(&rest, i)?)?,
+                        "--poll-ms" => poll_ms = parse_num(value_of(&rest, i)?)?,
                         "--verify" => verify = true,
-                        "--metrics-json" => {
-                            metrics_json = Some(value_of(&rest, &mut i)?.to_owned())
-                        }
+                        "--metrics-json" => metrics_json = Some(value_of(&rest, i)?.to_owned()),
                         other => return Err(format!("unknown argument `{other}`")),
                     }
-                    i += 1;
-                }
-                if config.machines == 0 {
-                    return Err("stream needs --machines >= 1".into());
-                }
-                if config.days == 0 {
-                    return Err("stream needs --days >= 1".into());
-                }
-                if !(threshold > 0.0 && threshold <= 2.0) {
-                    return Err(format!("threshold must be in (0, 2], got {threshold}"));
-                }
+                    Ok(())
+                })?;
                 if verify && config.engine.retention.is_some() {
                     // --verify compares the streamed clustering against a
                     // batch clustering of the recorded store; a pruned
@@ -405,56 +331,29 @@ impl Command {
                 let mut window_secs = 1u64;
                 let mut threshold = 2.0f64;
                 let mut metrics_json = None;
-                let mut i = 0;
-                while i < rest.len() {
-                    match rest[i] {
-                        "--machines" => {
-                            config.fleet.machines = parse_num(value_of(&rest, &mut i)?)? as usize
+                parse_fleet_args("repair", &rest, &mut config.fleet, |flag, i| {
+                    match flag {
+                        "--users" => {
+                            config.users = parse_count("--users", value_of(&rest, i)?, MAX_THREADS)?
                         }
-                        "--days" => {
-                            config.fleet.days = parse_days("--days", value_of(&rest, &mut i)?)?
-                        }
-                        "--retain-days" => {
-                            config.fleet.engine.retention = Some(RetentionPolicy::keep_days(
-                                parse_days("--retain-days", value_of(&rest, &mut i)?)?,
-                            ))
-                        }
-                        "--seed" => config.fleet.seed = parse_num(value_of(&rest, &mut i)?)?,
-                        "--threads" => {
-                            config.fleet.engine.ingest_threads =
-                                parse_num(value_of(&rest, &mut i)?)? as usize
-                        }
-                        "--shards" => {
-                            config.fleet.engine.shards =
-                                parse_num(value_of(&rest, &mut i)?)? as usize
-                        }
-                        "--batch" => {
-                            config.fleet.engine.batch_size =
-                                parse_num(value_of(&rest, &mut i)?)? as usize
-                        }
-                        "--app" => config.fleet.apps.push(value_of(&rest, &mut i)?.to_owned()),
-                        "--users" => config.users = parse_num(value_of(&rest, &mut i)?)? as usize,
                         "--search-threads" => {
-                            config.search_threads = parse_num(value_of(&rest, &mut i)?)? as usize
+                            config.search_threads =
+                                parse_count("--search-threads", value_of(&rest, i)?, MAX_THREADS)?
                         }
                         "--scenario" => config
                             .scenario_ids
-                            .push(parse_num(value_of(&rest, &mut i)?)? as usize),
-                        "--window" => window_secs = parse_num(value_of(&rest, &mut i)?)?,
-                        "--threshold" => {
-                            threshold = value_of(&rest, &mut i)?
-                                .parse()
-                                .map_err(|e| format!("bad threshold: {e}"))?
-                        }
+                            .push(parse_num(value_of(&rest, i)?)? as usize),
+                        "--window" => window_secs = parse_num(value_of(&rest, i)?)?,
+                        "--threshold" => threshold = parse_threshold(value_of(&rest, i)?)?,
                         "--min-events" => {
-                            config.min_catalog_events = parse_num(value_of(&rest, &mut i)?)?
+                            config.min_catalog_events = parse_num(value_of(&rest, i)?)?
                         }
                         "--start-bound-days" => {
                             config.start_bound_days =
-                                Some(parse_days("--start-bound-days", value_of(&rest, &mut i)?)?)
+                                Some(parse_days("--start-bound-days", value_of(&rest, i)?)?)
                         }
                         "--strategy" => {
-                            config.strategy = match value_of(&rest, &mut i)? {
+                            config.strategy = match value_of(&rest, i)? {
                                 "dfs" => SearchStrategy::Dfs,
                                 "bfs" => SearchStrategy::Bfs,
                                 other => {
@@ -464,24 +363,17 @@ impl Command {
                                 }
                             }
                         }
-                        "--metrics-json" => {
-                            metrics_json = Some(value_of(&rest, &mut i)?.to_owned())
-                        }
+                        "--metrics-json" => metrics_json = Some(value_of(&rest, i)?.to_owned()),
                         other => return Err(format!("unknown argument `{other}`")),
                     }
-                    i += 1;
-                }
-                if config.fleet.machines == 0 {
-                    return Err("repair needs --machines >= 1".into());
-                }
-                if config.fleet.days == 0 {
-                    return Err("repair needs --days >= 1".into());
-                }
-                if config.users == 0 {
-                    return Err("repair needs --users >= 1".into());
-                }
-                if !(threshold > 0.0 && threshold <= 2.0) {
-                    return Err(format!("threshold must be in (0, 2], got {threshold}"));
+                    Ok(())
+                })?;
+                // Every session runs its own pool of trial threads.
+                if config.users * config.search_threads > MAX_THREADS {
+                    return Err(format!(
+                        "--users x --search-threads must be at most {MAX_THREADS} threads, got {} x {}",
+                        config.users, config.search_threads
+                    ));
                 }
                 if config.scenario_ids.is_empty() {
                     config.scenario_ids = RepairServiceConfig::default().scenario_ids;
@@ -656,7 +548,7 @@ impl Command {
                 let metrics = metrics_json
                     .as_ref()
                     .map(|_| FleetMetrics::register(&registry));
-                let run = run_fleet_observed(config, metrics.as_ref())?;
+                let run = run_fleet(config, metrics.as_ref())?;
                 // The report line already carries the retention tally
                 // (sweeps, clamps, horizon, reclaimed) when a policy ran.
                 let mut out = format!("{}\n", run.report);
@@ -707,19 +599,23 @@ impl Command {
                 if metrics_json.is_some() {
                     stream.set_metrics(Arc::new(StreamMetrics::register(&registry)));
                 }
+                let sharded = ShardedTtkv::with_seal_threshold(
+                    config.engine.shards,
+                    config.engine.seal_threshold,
+                );
                 let lanes = WriteLanes::new(config.engine.shards);
                 let mut out = String::new();
 
                 // Ingest on a background thread; serve live clusterings
                 // from this one by draining the analytics lanes.
-                let (store, report) = std::thread::scope(|scope| {
+                let report = std::thread::scope(|scope| {
                     let handle = scope.spawn(|| {
                         let options = IngestOptions {
                             tap: Some(&lanes),
                             metrics: fleet_metrics.as_ref(),
                             ..IngestOptions::default()
                         };
-                        fleet_ingest_observed(&machines, &config.engine, options)
+                        fleet_ingest_live(&machines, &config.engine, &sharded, options)
                             .expect("no wal lane, no wal errors")
                     });
                     loop {
@@ -744,6 +640,7 @@ impl Command {
                     }
                     handle.join().expect("ingest thread panicked")
                 });
+                let store = sharded.into_ttkv();
 
                 stream.seal();
                 let live = stream.clustering();
@@ -949,6 +846,84 @@ fn parse_days(flag: &str, text: &str) -> Result<u64, String> {
         ));
     }
     Ok(days)
+}
+
+/// The most OS threads one kind of worker may ask for: ingest workers
+/// (`--threads`), concurrent repair sessions (`--users`) and trial
+/// threads across all sessions (`--users` x `--search-threads`). Each
+/// count spawns that many threads, so a typo must fail here, not spawn.
+const MAX_THREADS: usize = 256;
+
+/// The most stripe locks (`--shards`) a store may be built with.
+const MAX_SHARDS: usize = 4096;
+
+/// The largest per-shard batch (`--batch`): every ingest worker allocates
+/// one buffer of this many ops per shard up front.
+const MAX_BATCH: usize = 65_536;
+
+/// Parses a count argument that sizes threads or allocations, rejecting 0
+/// and anything above `max`.
+fn parse_count(flag: &str, text: &str, max: usize) -> Result<usize, String> {
+    let count = parse_num(text)?;
+    match usize::try_from(count) {
+        Ok(count) if (1..=max).contains(&count) => Ok(count),
+        _ => Err(format!("{flag} must be between 1 and {max}, got {count}")),
+    }
+}
+
+/// Parses a clustering correlation threshold, which must lie in (0, 2].
+fn parse_threshold(text: &str) -> Result<f64, String> {
+    let threshold: f64 = text.parse().map_err(|e| format!("bad threshold: {e}"))?;
+    if !(threshold > 0.0 && threshold <= 2.0) {
+        return Err(format!("threshold must be in (0, 2], got {threshold}"));
+    }
+    Ok(threshold)
+}
+
+/// Parses the arguments of `verb` (`fleet`, `stream` or `repair`): the
+/// flags the three share go into `config`, every other flag is handed to
+/// `extra` with the cursor on it, and `--machines`/`--days` are required.
+fn parse_fleet_args<'a>(
+    verb: &str,
+    rest: &[&'a str],
+    config: &mut FleetRunConfig,
+    mut extra: impl FnMut(&'a str, &mut usize) -> Result<(), String>,
+) -> Result<(), String> {
+    let mut i = 0;
+    while i < rest.len() {
+        match rest[i] {
+            "--machines" => config.machines = parse_num(value_of(rest, &mut i)?)? as usize,
+            "--days" => config.days = parse_days("--days", value_of(rest, &mut i)?)?,
+            "--retain-days" => {
+                config.engine.retention = Some(RetentionPolicy::keep_days(parse_days(
+                    "--retain-days",
+                    value_of(rest, &mut i)?,
+                )?))
+            }
+            "--seed" => config.seed = parse_num(value_of(rest, &mut i)?)?,
+            "--threads" => {
+                config.engine.ingest_threads =
+                    parse_count("--threads", value_of(rest, &mut i)?, MAX_THREADS)?
+            }
+            "--shards" => {
+                config.engine.shards = parse_count("--shards", value_of(rest, &mut i)?, MAX_SHARDS)?
+            }
+            "--batch" => {
+                config.engine.batch_size =
+                    parse_count("--batch", value_of(rest, &mut i)?, MAX_BATCH)?
+            }
+            "--app" => config.apps.push(value_of(rest, &mut i)?.to_owned()),
+            other => extra(other, &mut i)?,
+        }
+        i += 1;
+    }
+    if config.machines == 0 {
+        return Err(format!("{verb} needs --machines >= 1"));
+    }
+    if config.days == 0 {
+        return Err(format!("{verb} needs --days >= 1"));
+    }
+    Ok(())
 }
 
 /// Finds the workspace root for `ocasta lint`: the nearest ancestor of
@@ -1390,6 +1365,78 @@ mod tests {
         ])
         .unwrap_err();
         assert!(err.contains("full recorded history"), "{err}");
+    }
+
+    #[test]
+    fn thread_shard_and_batch_counts_are_range_checked() {
+        // Regression: these counts used to flow unchecked into thread
+        // spawns and up-front allocations. Parse-only: nothing here runs.
+        let fleet = ["fleet", "--machines", "2", "--days", "2"];
+        let stream = ["stream", "--machines", "2", "--days", "2"];
+        let repair = ["repair", "--machines", "2", "--days", "2"];
+        for (base, flag, value) in [
+            (&fleet, "--threads", "100000"),
+            (&fleet, "--threads", "0"),
+            (&fleet, "--shards", "0"),
+            (&fleet, "--shards", "1000000"),
+            (&fleet, "--batch", "0"),
+            (&fleet, "--batch", "99999999999"),
+            (&stream, "--threads", "100000"),
+            (&stream, "--shards", "1000000"),
+            (&repair, "--threads", "100000"),
+            (&repair, "--shards", "0"),
+            (&repair, "--users", "100000"),
+            (&repair, "--search-threads", "100000"),
+            (&repair, "--search-threads", "0"),
+        ] {
+            let mut args = base.to_vec();
+            args.extend([flag, value]);
+            let err = parse(&args).unwrap_err();
+            assert!(err.contains("must be between 1 and"), "{args:?} -> {err}");
+        }
+        // Sessions each run their own trial threads: the product is capped.
+        let err = parse(&[
+            "repair",
+            "--machines",
+            "2",
+            "--days",
+            "2",
+            "--users",
+            "200",
+            "--search-threads",
+            "2",
+        ])
+        .unwrap_err();
+        assert!(err.contains("--users x --search-threads"), "{err}");
+        // The caps themselves are accepted.
+        for args in [
+            vec![
+                "fleet",
+                "--machines",
+                "2",
+                "--days",
+                "2",
+                "--threads",
+                "256",
+                "--shards",
+                "4096",
+                "--batch",
+                "65536",
+            ],
+            vec![
+                "repair",
+                "--machines",
+                "2",
+                "--days",
+                "2",
+                "--users",
+                "16",
+                "--search-threads",
+                "16",
+            ],
+        ] {
+            assert!(parse(&args).is_ok(), "{args:?}");
+        }
     }
 
     #[test]

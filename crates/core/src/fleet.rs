@@ -7,8 +7,8 @@
 //! paper pipeline at deployment scale, in one call.
 
 use ocasta_fleet::{
-    ingest_observed, FleetConfig, FleetMetrics, FleetReport, IngestOptions, KeyPlacement,
-    MachineSpec, Wal,
+    ingest_live, FleetConfig, FleetMetrics, FleetReport, IngestOptions, KeyPlacement, MachineSpec,
+    ShardedTtkv, Wal,
 };
 use ocasta_ttkv::{TimePrecision, Ttkv};
 
@@ -90,26 +90,18 @@ pub fn fleet_machines(config: &FleetRunConfig) -> Result<Vec<MachineSpec>, Strin
         .collect())
 }
 
-/// Runs a concurrent fleet ingestion per `config`.
+/// Runs a concurrent fleet ingestion per `config` and merges the shards
+/// into one store.
+///
+/// An optional `metrics` bundle records throughput, stripe-lock waits,
+/// WAL timings and sweep stalls into lock-free
+/// [`ocasta_obs`](ocasta_fleet::FleetMetrics) primitives; it is purely
+/// observational — the run's output is byte-identical with and without it.
 ///
 /// # Errors
 ///
 /// Unknown application names, or WAL failures when `wal_dir` is set.
-pub fn run_fleet(config: &FleetRunConfig) -> Result<FleetRun, String> {
-    run_fleet_observed(config, None)
-}
-
-/// [`run_fleet`] with an optional metrics bundle attached to the engine.
-///
-/// The bundle records throughput, stripe-lock waits, WAL timings and sweep
-/// stalls into lock-free [`ocasta_obs`](ocasta_fleet::FleetMetrics)
-/// primitives; it is purely observational — the run's output is
-/// byte-identical with and without it.
-///
-/// # Errors
-///
-/// Same conditions as [`run_fleet`].
-pub fn run_fleet_observed(
+pub fn run_fleet(
     config: &FleetRunConfig,
     metrics: Option<&FleetMetrics>,
 ) -> Result<FleetRun, String> {
@@ -123,9 +115,14 @@ pub fn run_fleet_observed(
         metrics,
         ..IngestOptions::default()
     };
-    let (store, report) =
-        ingest_observed(&machines, &config.engine, options).map_err(|e| e.to_string())?;
-    Ok(FleetRun { store, report })
+    let sharded =
+        ShardedTtkv::with_seal_threshold(config.engine.shards, config.engine.seal_threshold);
+    let report =
+        ingest_live(&machines, &config.engine, &sharded, options).map_err(|e| e.to_string())?;
+    Ok(FleetRun {
+        store: sharded.into_ttkv(),
+        report,
+    })
 }
 
 /// Convenience re-exports so callers need only the facade crate.
@@ -170,7 +167,7 @@ mod tests {
 
     #[test]
     fn run_fleet_ingests_and_clusters() {
-        let run = run_fleet(&small_config()).unwrap();
+        let run = run_fleet(&small_config(), None).unwrap();
         assert_eq!(run.report.machines, 4);
         assert!(run.report.mutations > 0);
         assert_eq!(
@@ -185,7 +182,7 @@ mod tests {
     fn unknown_apps_are_rejected() {
         let mut config = small_config();
         config.apps = vec!["clippy2000".into()];
-        assert!(run_fleet(&config).unwrap_err().contains("clippy2000"));
+        assert!(run_fleet(&config, None).unwrap_err().contains("clippy2000"));
     }
 
     #[test]

@@ -59,13 +59,13 @@ mod stream;
 mod vopr;
 
 pub use accuracy::{evaluate_all, evaluate_model, score, AccuracySummary, AppAccuracy};
-pub use fleet::{run_fleet, run_fleet_observed, FleetRun, FleetRunConfig};
+pub use fleet::{run_fleet, FleetRun, FleetRunConfig};
 pub use metrics::{ServiceMetrics, StreamMetrics};
 pub use pipeline::{Clustering, Ocasta};
 pub use scenario::{prepare_store, run_noclust, run_scenario, ScenarioConfig, ScenarioOutcome};
 pub use service::{
-    run_repair_service, run_repair_service_observed, RepairServiceConfig, RepairServiceRun,
-    ServiceObservers, UserRepair,
+    run_repair_service_observed, RepairServiceConfig, RepairServiceRun, ServiceObservers,
+    UserRepair,
 };
 pub use stream::{OcastaStream, StreamClustering, StreamHorizon};
 pub use vopr::{
@@ -83,9 +83,7 @@ pub use ocasta_cluster::{
     TransactionWindow, WriteEvent,
 };
 pub use ocasta_fleet::{
-    diagnose, ingest as fleet_ingest, ingest_into as fleet_ingest_into,
-    ingest_live as fleet_ingest_live, ingest_observed as fleet_ingest_observed,
-    ingest_tapped as fleet_ingest_tapped, DoctorReport, FaultPlan, Finding, FleetConfig,
+    diagnose, ingest_live as fleet_ingest_live, DoctorReport, FaultPlan, Finding, FleetConfig,
     FleetMetrics, FleetReport, IngestError, IngestOptions, IngestTap, KeyPlacement, MachineSpec,
     RetentionPolicy, RetentionReport, Severity, ShardedTtkv, Wal, WalError, WalReader, WalWriter,
     WriteLanes, WAL_MAGIC,

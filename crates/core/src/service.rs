@@ -1,8 +1,8 @@
 //! The repair service: concurrent repair sessions over a live fleet store.
 //!
-//! This closes the paper's loop at fleet scale. PR 1 made ingestion
-//! concurrent ([`ocasta_fleet::ingest_into`]), PR 2 made the clustering
-//! continuously available ([`crate::OcastaStream`]); this tier makes the
+//! This closes the paper's loop at fleet scale. Ingestion is concurrent
+//! ([`ocasta_fleet::ingest_live`]) and the clustering continuously
+//! available ([`crate::OcastaStream`]); this tier makes the
 //! *repair* — the point of the whole system (§III-B, §IV-C) — run against
 //! both, while they keep moving:
 //!
@@ -168,20 +168,13 @@ pub struct ServiceObservers {
 }
 
 /// Runs the repair service: ingest the fleet, pin a catalog + snapshot from
-/// the live tiers, and drive every user's repair session concurrently.
+/// the live tiers, and drive every user's repair session concurrently,
+/// recording into whichever per-tier bundles `observers` carries
+/// ([`ServiceObservers::default`] records nothing).
 ///
 /// # Errors
 ///
 /// Unknown scenario ids or application names, or `users == 0`.
-pub fn run_repair_service(config: &RepairServiceConfig) -> Result<RepairServiceRun, String> {
-    run_repair_service_observed(config, &ServiceObservers::default())
-}
-
-/// [`run_repair_service`] with per-tier metric bundles attached.
-///
-/// # Errors
-///
-/// Same conditions as [`run_repair_service`].
 pub fn run_repair_service_observed(
     config: &RepairServiceConfig,
     observers: &ServiceObservers,
@@ -208,7 +201,7 @@ pub fn run_repair_service_observed(
 
     // The pin-advance coordinator, shared by every session thread. Each
     // session reports, after every trial wave, the oldest history its
-    // *remaining* plan still needs (`RepairSession::run_observed`); its
+    // *remaining* plan still needs (`RepairSession::run`); its
     // slot records that bound, and the shared pin advances to the minimum
     // over all slots — never past what any live session might still roll
     // back to. Both live outside the thread scope so session threads can
@@ -412,7 +405,7 @@ fn run_user_session(
         m.session_open.record_duration(sw.elapsed());
     }
     let step_started = Stopwatch::start_if(metrics.is_some());
-    let report = session.run_observed(&scenario.trial(), &scenario.oracle(), |needed| {
+    let report = session.run(&scenario.trial(), &scenario.oracle(), |needed| {
         // Record this session's shrinking need, then advance the shared
         // pin to the minimum over everyone — the oldest history any live
         // session might still roll back to. Slots guard dropped before
@@ -515,7 +508,8 @@ mod tests {
 
     #[test]
     fn concurrent_sessions_fix_their_errors() {
-        let run = run_repair_service(&small_config()).expect("service runs");
+        let run = run_repair_service_observed(&small_config(), &ServiceObservers::default())
+            .expect("service runs");
         assert_eq!(run.sessions.len(), 3);
         assert_eq!(run.fixed_sessions(), 3, "{:?}", run.sessions);
         // Round-robin assignment over the two scenarios.
@@ -540,7 +534,8 @@ mod tests {
             users: 2,
             ..small_config()
         };
-        let run = run_repair_service(&config).expect("service runs");
+        let run = run_repair_service_observed(&config, &ServiceObservers::default())
+            .expect("service runs");
         assert_eq!(run.sessions.len(), 2);
         // Whether the pin landed mid-ingest depends on scheduling; either
         // way every session must complete with a usable report, and the
@@ -560,7 +555,8 @@ mod tests {
         let mut base = small_config();
         base.fleet.days = 16;
         base.start_bound_days = Some(3);
-        let reference = run_repair_service(&base).expect("service runs");
+        let reference =
+            run_repair_service_observed(&base, &ServiceObservers::default()).expect("service runs");
 
         // Retention on: keep 5 days behind the frontier — deeper than any
         // session's 3-day search bound, which the pin enforces regardless.
@@ -569,7 +565,8 @@ mod tests {
             retain: TimeDelta::from_days(5),
             min_interval: TimeDelta::from_days(1),
         });
-        let run = run_repair_service(&config).expect("service runs");
+        let run = run_repair_service_observed(&config, &ServiceObservers::default())
+            .expect("service runs");
 
         let retention = run.ingest.retention.expect("policy was set");
         assert!(retention.sweeps > 0, "{retention:?}");
@@ -625,17 +622,19 @@ mod tests {
     fn bad_inputs_are_rejected() {
         let mut config = small_config();
         config.users = 0;
-        assert!(run_repair_service(&config).is_err());
+        assert!(run_repair_service_observed(&config, &ServiceObservers::default()).is_err());
 
         let mut config = small_config();
         config.scenario_ids = vec![99];
-        assert!(run_repair_service(&config)
-            .unwrap_err()
-            .contains("scenario id 99"));
+        assert!(
+            run_repair_service_observed(&config, &ServiceObservers::default())
+                .unwrap_err()
+                .contains("scenario id 99")
+        );
 
         let mut config = small_config();
         config.scenario_ids = Vec::new();
-        assert!(run_repair_service(&config).is_err());
+        assert!(run_repair_service_observed(&config, &ServiceObservers::default()).is_err());
     }
 
     #[test]

@@ -198,7 +198,8 @@ impl OcastaStream {
 
     /// Drains a fleet ingestion's analytics lanes into the stream; returns
     /// how many mutations were absorbed. Call repeatedly while
-    /// [`ocasta_fleet::ingest_tapped`] runs to keep the clustering fresh.
+    /// [`ocasta_fleet::ingest_live`] runs with these lanes as its tap to
+    /// keep the clustering fresh.
     pub fn drain_lanes(&mut self, lanes: &WriteLanes) -> usize {
         self.absorb_batch(lanes.drain())
     }

@@ -17,14 +17,17 @@ const MEASURED_BYTES_PER_OP: f64 = 8.92;
 fn wal_log_bytes_per_op_stay_under_the_ocwal2_ceiling() {
     let dir = std::env::temp_dir().join(format!("ocasta-wal-size-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let run = run_fleet(&FleetRunConfig {
-        machines: 4,
-        days: 14,
-        seed: 11,
-        apps: Vec::new(),
-        engine: FleetConfig::default(),
-        wal_dir: Some(dir.clone()),
-    })
+    let run = run_fleet(
+        &FleetRunConfig {
+            machines: 4,
+            days: 14,
+            seed: 11,
+            apps: Vec::new(),
+            engine: FleetConfig::default(),
+            wal_dir: Some(dir.clone()),
+        },
+        None,
+    )
     .unwrap();
 
     let log = Wal::open(&dir).unwrap().log_path();

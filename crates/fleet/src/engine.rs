@@ -15,14 +15,17 @@
 //!   takes the stripe lock, sends the frame bytes under the lock (so the
 //!   log's per-shard order is apply order), and the single appender only
 //!   writes bytes;
-//! * the **caller**, which on completion merges the shards into one
-//!   consistent [`Ttkv`] and hands it to clustering/repair.
+//! * the **caller**, which owns the [`ShardedTtkv`]: it reads the live
+//!   store while ingestion runs and, when it wants one consistent
+//!   [`Ttkv`], merges the shards with [`ShardedTtkv::into_ttkv`].
 //!
-//! Ingestion is machine-granular: one machine's ops are produced and
-//! applied in stream order by one worker, so per-key history order is
-//! deterministic whenever distinct machines do not write the same key at
-//! the same (quantised) timestamp — and [`ingest`] with one thread equals
-//! [`ingest`] with sixteen, which the concurrency tests assert.
+//! [`ingest_live`] is the one entry point; [`IngestOptions`] selects the
+//! instrumentation. Ingestion is machine-granular: one machine's ops are
+//! produced and applied in stream order by one worker, so per-key history
+//! order is deterministic whenever distinct machines do not write the same
+//! key at the same (quantised) timestamp — and [`ingest_live`] with one
+//! thread equals [`ingest_live`] with sixteen and [`ingest_sequential`],
+//! which the concurrency tests assert.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
@@ -186,10 +189,9 @@ pub struct FleetReport {
     pub shards: usize,
     /// Ingest workers used.
     pub threads: usize,
-    /// Wall-clock ingestion time (excludes the final shard merge).
+    /// Wall-clock ingestion time (the caller's shard merge, if any, comes
+    /// after it).
     pub ingest_elapsed: Duration,
-    /// Wall-clock shard build + merge time.
-    pub merge_elapsed: Duration,
     /// Per-machine mutation counts, in machine order.
     pub per_machine: Vec<(String, u64)>,
     /// The retention sweeper's tally, when a policy was configured.
@@ -213,14 +215,13 @@ impl std::fmt::Display for FleetReport {
         write!(
             f,
             "{} machines, {} mutations, {} reads via {} threads x {} shards \
-             in {:.2?} (+{:.2?} merge) = {:.0} events/s",
+             in {:.2?} = {:.0} events/s",
             self.machines,
             self.mutations,
             self.reads,
             self.threads,
             self.shards,
             self.ingest_elapsed,
-            self.merge_elapsed,
             self.events_per_sec(),
         )?;
         if let Some(retention) = &self.retention {
@@ -241,11 +242,11 @@ impl std::fmt::Display for FleetReport {
 }
 
 /// Everything one ingestion run can optionally be instrumented with: a
-/// durability lane, a live-analytics tap, and a retention pin registry.
+/// durability lane, a live-analytics tap, a retention pin registry,
+/// metrics and fault injection.
 ///
-/// The struct form keeps the entry-point surface flat: `ingest`,
-/// [`ingest_with_wal`], [`ingest_into`] and friends are thin wrappers over
-/// [`ingest_live`] with the corresponding option set.
+/// [`ingest_live`] takes every combination through this one struct; the
+/// [`Default`] instruments nothing.
 #[derive(Default)]
 pub struct IngestOptions<'a> {
     /// Append every accepted batch to this WAL before it is applied.
@@ -278,159 +279,6 @@ impl std::fmt::Debug for IngestOptions<'_> {
     }
 }
 
-/// Ingests a whole fleet concurrently; returns the merged store and a
-/// throughput report.
-pub fn ingest(machines: &[MachineSpec], config: &FleetConfig) -> (Ttkv, FleetReport) {
-    match ingest_inner(machines, config, IngestOptions::default()) {
-        Ok(result) => result,
-        // lint:allow(panic-in-worker-path): caller-facing infallible wrapper — absent a WAL lane or fault plan only an engine bug reaches Err, and surfacing that bug as a caller panic (never on a worker thread) is the intent
-        Err(e) => unreachable!("no WAL lane, no fault plan: {e}"),
-    }
-}
-
-/// Like [`ingest`], additionally invoking `tap` on every accepted batch —
-/// the live-analytics hook (see [`IngestTap`] and [`crate::WriteLanes`]).
-///
-/// The tap runs on the ingest workers' threads, outside the shard locks;
-/// batches reach it after placement and timestamp quantisation — as the
-/// store sees them — and only *after* the shard has applied them, so
-/// everything a tap consumer has observed is already readable through a
-/// store snapshot.
-pub fn ingest_tapped(
-    machines: &[MachineSpec],
-    config: &FleetConfig,
-    tap: &dyn IngestTap,
-) -> (Ttkv, FleetReport) {
-    let options = IngestOptions {
-        tap: Some(tap),
-        ..IngestOptions::default()
-    };
-    match ingest_inner(machines, config, options) {
-        Ok(result) => result,
-        // lint:allow(panic-in-worker-path): caller-facing infallible wrapper — absent a WAL lane or fault plan only an engine bug reaches Err, and surfacing that bug as a caller panic (never on a worker thread) is the intent
-        Err(e) => unreachable!("no WAL lane, no fault plan: {e}"),
-    }
-}
-
-/// Like [`ingest`], additionally appending every batch to `wal` before it
-/// is applied to the shards.
-///
-/// # Errors
-///
-/// Returns the first [`IngestError`] the run hits: a WAL failure on the
-/// appender lane (ingestion still runs to completion so the store is
-/// usable; the WAL may be truncated), or a panicked ingest worker.
-pub fn ingest_with_wal(
-    machines: &[MachineSpec],
-    config: &FleetConfig,
-    wal: &mut Wal,
-) -> Result<(Ttkv, FleetReport), IngestError> {
-    let options = IngestOptions {
-        wal: Some(wal),
-        ..IngestOptions::default()
-    };
-    ingest_inner(machines, config, options)
-}
-
-/// The fully-instrumented engine: optional WAL lane *and* optional tap.
-///
-/// # Errors
-///
-/// Same conditions as [`ingest_with_wal`].
-pub fn ingest_with_wal_and_tap(
-    machines: &[MachineSpec],
-    config: &FleetConfig,
-    wal: &mut Wal,
-    tap: &dyn IngestTap,
-) -> Result<(Ttkv, FleetReport), IngestError> {
-    let options = IngestOptions {
-        wal: Some(wal),
-        tap: Some(tap),
-        ..IngestOptions::default()
-    };
-    ingest_inner(machines, config, options)
-}
-
-/// The general merged-store entry point: bring your own [`IngestOptions`]
-/// (WAL lane, tap, horizon guard, metrics bundle — any combination),
-/// ingest, and merge the shards into one consistent store. The named
-/// convenience wrappers ([`ingest`], [`ingest_with_wal`], …) all route
-/// here.
-///
-/// # Errors
-///
-/// Same conditions as [`ingest_with_wal`] — only possible when a WAL lane
-/// or a fault plan was supplied (absent both, workers can still panic on a
-/// genuine engine bug, and that panic surfaces as an error here).
-pub fn ingest_observed(
-    machines: &[MachineSpec],
-    config: &FleetConfig,
-    options: IngestOptions<'_>,
-) -> Result<(Ttkv, FleetReport), IngestError> {
-    ingest_inner(machines, config, options)
-}
-
-fn ingest_inner(
-    machines: &[MachineSpec],
-    config: &FleetConfig,
-    options: IngestOptions<'_>,
-) -> Result<(Ttkv, FleetReport), IngestError> {
-    let sharded = ShardedTtkv::with_seal_threshold(config.shards, config.seal_threshold);
-    let mut report = ingest_live(machines, config, &sharded, options)?;
-
-    let merge_started = Stopwatch::start();
-    let store = sharded.into_ttkv();
-    report.merge_elapsed = merge_started.elapsed();
-    Ok((store, report))
-}
-
-/// Streams every machine into a **caller-owned** live store, invoking `tap`
-/// on every accepted batch; returns when all machines are ingested.
-///
-/// Unlike [`ingest`], the shards are *not* merged when ingestion completes:
-/// the caller keeps the [`ShardedTtkv`] live, reads it through
-/// [`ShardedTtkv::snapshot_store`] at any moment — including while this
-/// function is still running on another thread — and decides itself when
-/// (or whether) to [`ShardedTtkv::into_ttkv`]. This is the entry point the
-/// repair service tier uses: ingestion keeps flowing while repair sessions
-/// pin snapshots (the returned report's `merge_elapsed` is therefore zero).
-///
-/// The batch size, placement, precision and worker count come from
-/// `config`; the shard count comes from `sharded` itself. Pass `&()` as the
-/// tap to observe nothing.
-///
-/// # Examples
-///
-/// ```
-/// use ocasta_fleet::{ingest_into, FleetConfig, MachineSpec, ShardedTtkv};
-/// use ocasta_trace::WorkloadSpec;
-///
-/// let mut spec = WorkloadSpec::new("app");
-/// spec.churn_keys = 2;
-/// spec.churn_writes_per_day = 1.0;
-/// let machines = vec![MachineSpec::new("m0", 5, 1, vec![spec])];
-/// let sharded = ShardedTtkv::new(4);
-/// let report = ingest_into(&machines, &FleetConfig::default(), &sharded, &());
-/// // The store stays live: snapshot it, keep ingesting, or merge now.
-/// assert_eq!(sharded.snapshot_store().stats().writes, report.mutations);
-/// ```
-pub fn ingest_into(
-    machines: &[MachineSpec],
-    config: &FleetConfig,
-    sharded: &ShardedTtkv,
-    tap: &dyn IngestTap,
-) -> FleetReport {
-    let options = IngestOptions {
-        tap: Some(tap),
-        ..IngestOptions::default()
-    };
-    match ingest_live(machines, config, sharded, options) {
-        Ok(report) => report,
-        // lint:allow(panic-in-worker-path): caller-facing infallible wrapper — absent a WAL lane or fault plan only an engine bug reaches Err, and surfacing that bug as a caller panic (never on a worker thread) is the intent
-        Err(e) => unreachable!("no WAL lane, no fault plan: {e}"),
-    }
-}
-
 /// One message on the WAL lane: a frame a worker encoded, to append, or an
 /// instruction from the retention sweeper to compact the log pruned to a
 /// horizon — either incrementally (`Compact`, a mid-run delta layer,
@@ -444,12 +292,45 @@ enum WalMsg {
     Rebase(Timestamp),
 }
 
-/// The worker-pool engine behind every public ingest entry point: drives
-/// all machines into the **caller-owned** `sharded` store, with whatever
-/// [`IngestOptions`] instrumentation the caller wants, plus the retention
-/// sweeper when `config.retention` is set. The shards are not merged —
-/// `merge_elapsed` is zero; the caller snapshots or merges when it
-/// pleases.
+/// Streams every machine into the **caller-owned** `sharded` store, with
+/// whatever [`IngestOptions`] instrumentation the caller wants, plus the
+/// retention sweeper when `config.retention` is set; returns when all
+/// machines are ingested.
+///
+/// The shards are *not* merged when ingestion completes: the caller keeps
+/// the [`ShardedTtkv`] live, reads it through
+/// [`ShardedTtkv::snapshot_store`] or [`ShardedTtkv::pin_epoch`] at any
+/// moment — including while this function is still running on another
+/// thread — and decides itself when (or whether) to merge with
+/// [`ShardedTtkv::into_ttkv`]. The batch size, placement, precision and
+/// worker count come from `config`; the shard count comes from `sharded`
+/// itself.
+///
+/// With [`IngestOptions::tap`] set, the tap runs on the ingest workers'
+/// threads, outside the shard locks; batches reach it after placement and
+/// timestamp quantisation — as the store sees them — and only *after* the
+/// shard has applied them, so everything a tap consumer has observed is
+/// already readable through a store snapshot.
+///
+/// # Examples
+///
+/// ```
+/// use ocasta_fleet::{ingest_live, FleetConfig, IngestOptions, MachineSpec, ShardedTtkv};
+/// use ocasta_trace::WorkloadSpec;
+///
+/// let mut spec = WorkloadSpec::new("app");
+/// spec.churn_keys = 2;
+/// spec.churn_writes_per_day = 1.0;
+/// let machines = vec![MachineSpec::new("m0", 5, 1, vec![spec])];
+/// let config = FleetConfig::default();
+/// let sharded = ShardedTtkv::with_seal_threshold(config.shards, config.seal_threshold);
+/// let report = ingest_live(&machines, &config, &sharded, IngestOptions::default())?;
+/// // The store stays live: snapshot it, keep ingesting, or merge now.
+/// assert_eq!(sharded.snapshot_store().stats().writes, report.mutations);
+/// let store = sharded.into_ttkv();
+/// assert_eq!(store.stats().writes, report.mutations);
+/// # Ok::<(), ocasta_fleet::IngestError>(())
+/// ```
 ///
 /// # Errors
 ///
@@ -799,7 +680,6 @@ pub fn ingest_live(
         shards: sharded.shard_count(),
         threads,
         ingest_elapsed,
-        merge_elapsed: Duration::ZERO,
         per_machine: machines
             .iter()
             .map(|m| m.name.clone())
@@ -1026,6 +906,18 @@ mod tests {
     use super::*;
     use ocasta_trace::{KeySpec, SettingGroup, ValueKind};
 
+    /// Ingests into a fresh store and merges it — what a caller that wants
+    /// one consistent [`Ttkv`] does.
+    fn ingest_merged(
+        machines: &[MachineSpec],
+        config: &FleetConfig,
+        options: IngestOptions<'_>,
+    ) -> (Ttkv, FleetReport) {
+        let sharded = ShardedTtkv::with_seal_threshold(config.shards, config.seal_threshold);
+        let report = ingest_live(machines, config, &sharded, options).expect("ingest succeeds");
+        (sharded.into_ttkv(), report)
+    }
+
     pub(crate) fn tiny_fleet(machines: usize, days: u64) -> Vec<MachineSpec> {
         (0..machines)
             .map(|i| {
@@ -1060,7 +952,7 @@ mod tests {
             retention: None,
             seal_threshold: 64,
         };
-        let (store, report) = ingest(&machines, &config);
+        let (store, report) = ingest_merged(&machines, &config, IngestOptions::default());
         assert_eq!(report.machines, 6);
         assert!(report.mutations > 0);
         assert_eq!(
@@ -1088,7 +980,11 @@ mod tests {
             ..FleetConfig::default()
         };
         let lanes = WriteLanes::new(config.shards);
-        let (store, report) = ingest_tapped(&machines, &config, &lanes);
+        let options = IngestOptions {
+            tap: Some(&lanes),
+            ..IngestOptions::default()
+        };
+        let (store, report) = ingest_merged(&machines, &config, options);
         let drained = lanes.drain();
         assert_eq!(drained.len() as u64, report.mutations);
         assert_eq!(
@@ -1100,7 +996,7 @@ mod tests {
     }
 
     #[test]
-    fn ingest_into_keeps_the_store_live_and_matches_ingest() {
+    fn ingest_live_keeps_the_store_live_and_matches_the_merged_run() {
         let machines = tiny_fleet(5, 12);
         let config = FleetConfig {
             shards: 4,
@@ -1114,7 +1010,10 @@ mod tests {
         let sharded = ShardedTtkv::new(config.shards);
         // Snapshot the live store while ingestion runs on another thread.
         let (report, mid_snapshots) = std::thread::scope(|scope| {
-            let handle = scope.spawn(|| ingest_into(&machines, &config, &sharded, &()));
+            let handle = scope.spawn(|| {
+                ingest_live(&machines, &config, &sharded, IngestOptions::default())
+                    .expect("ingest succeeds")
+            });
             let mut mid = Vec::new();
             while !handle.is_finished() {
                 mid.push(sharded.snapshot_store().stats().writes);
@@ -1124,12 +1023,13 @@ mod tests {
             }
             (handle.join().expect("ingest panicked"), mid)
         });
-        assert_eq!(report.merge_elapsed, Duration::ZERO);
         assert!(mid_snapshots.windows(2).all(|w| w[0] <= w[1]), "monotone");
-        // The caller-owned store ends up exactly where `ingest` would.
+        // The caller-owned store ends up exactly where a second, merged
+        // run does.
         let live = sharded.snapshot_store();
         assert_eq!(live, sharded.into_ttkv());
-        let (batch_store, batch_report) = ingest(&machines, &config);
+        let (batch_store, batch_report) =
+            ingest_merged(&machines, &config, IngestOptions::default());
         assert_eq!(report.mutations, batch_report.mutations);
         assert_eq!(live, batch_store);
     }
@@ -1137,7 +1037,8 @@ mod tests {
     #[test]
     fn report_renders() {
         let machines = tiny_fleet(2, 3);
-        let (_, report) = ingest(&machines, &FleetConfig::default());
+        let (_, report) =
+            ingest_merged(&machines, &FleetConfig::default(), IngestOptions::default());
         let text = report.to_string();
         assert!(text.contains("2 machines"), "{text}");
         assert!(text.contains("events/s"), "{text}");
@@ -1154,7 +1055,7 @@ mod tests {
             placement: KeyPlacement::PerMachine,
             ..FleetConfig::default()
         };
-        let (reference, _) = ingest(&machines, &base);
+        let (reference, _) = ingest_merged(&machines, &base, IngestOptions::default());
 
         let config = FleetConfig {
             retention: Some(RetentionPolicy {
@@ -1163,7 +1064,7 @@ mod tests {
             }),
             ..base
         };
-        let (pruned, report) = ingest(&machines, &config);
+        let (pruned, report) = ingest_merged(&machines, &config, IngestOptions::default());
         let retention = report.retention.expect("policy was set");
         assert!(retention.sweeps > 0, "{retention:?}");
         assert!(retention.reclaimed.pruned_versions > 0);
@@ -1238,12 +1139,13 @@ mod tests {
         assert!(retention.clamped > 0, "sweeps were attempted");
         // The full history survived under the pin.
         let store = sharded.into_ttkv();
-        let (unpruned, _) = ingest(
+        let (unpruned, _) = ingest_merged(
             &machines,
             &FleetConfig {
                 retention: None,
                 ..config
             },
+            IngestOptions::default(),
         );
         assert_eq!(store, unpruned);
         drop(pin);
@@ -1266,7 +1168,11 @@ mod tests {
             ..FleetConfig::default()
         };
         let mut wal = Wal::open(&dir).unwrap();
-        let (store, report) = ingest_with_wal(&machines, &config, &mut wal).unwrap();
+        let options = IngestOptions {
+            wal: Some(&mut wal),
+            ..IngestOptions::default()
+        };
+        let (store, report) = ingest_merged(&machines, &config, options);
         let retention = report.retention.expect("policy was set");
         assert!(retention.sweeps > 0);
         let horizon = retention.horizon.expect("swept");
@@ -1295,7 +1201,11 @@ mod tests {
             retention: None,
             ..config
         };
-        ingest_with_wal(&machines, &nr_config, &mut nr_wal).unwrap();
+        let options = IngestOptions {
+            wal: Some(&mut nr_wal),
+            ..IngestOptions::default()
+        };
+        ingest_merged(&machines, &nr_config, options);
         nr_wal.compact(precision).unwrap();
         // The retained side needs no extra folding: the sweeper's final
         // rebase already left a single pruned base, so the comparison is

@@ -2,11 +2,26 @@
 //! store as sequential single-threaded ingestion.
 
 use ocasta_fleet::{
-    ingest, ingest_sequential, ingest_with_wal, FleetConfig, KeyPlacement, MachineSpec, Wal,
-    WalReader,
+    ingest_live, ingest_sequential, FleetConfig, FleetReport, IngestOptions, KeyPlacement,
+    MachineSpec, ShardedTtkv, Wal, WalReader,
 };
 use ocasta_trace::{KeySpec, NoiseKey, SettingGroup, TraceOp, ValueKind, WorkloadSpec};
-use ocasta_ttkv::TimePrecision;
+use ocasta_ttkv::{TimePrecision, Ttkv};
+
+/// Ingests into a fresh store and merges it, optionally logging to `wal`.
+fn ingest_merged(
+    machines: &[MachineSpec],
+    config: &FleetConfig,
+    wal: Option<&mut Wal>,
+) -> (Ttkv, FleetReport) {
+    let sharded = ShardedTtkv::with_seal_threshold(config.shards, config.seal_threshold);
+    let options = IngestOptions {
+        wal,
+        ..IngestOptions::default()
+    };
+    let report = ingest_live(machines, config, &sharded, options).expect("ingest succeeds");
+    (sharded.into_ttkv(), report)
+}
 
 fn app_spec(app: &str) -> WorkloadSpec {
     let mut spec = WorkloadSpec::new(app);
@@ -66,7 +81,7 @@ fn threaded_ingestion_equals_sequential_disjoint_keys() {
                 seal_threshold: 256,
             };
             let sequential = ingest_sequential(&machines, &config);
-            let (parallel, report) = ingest(&machines, &config);
+            let (parallel, report) = ingest_merged(&machines, &config, None);
             assert_eq!(
                 parallel, sequential,
                 "threads={threads} shards={shards} must match sequential"
@@ -116,7 +131,7 @@ fn threaded_ingestion_equals_sequential_merged_keys() {
     }
 
     let sequential = ingest_sequential(&machines, &config);
-    let (parallel, _) = ingest(&machines, &config);
+    let (parallel, _) = ingest_merged(&machines, &config, None);
     assert_eq!(parallel, sequential);
     // Machines genuinely share keys: the shared subtree exists once.
     let shared_prefix = ocasta_ttkv::Key::new("shared");
@@ -141,7 +156,7 @@ fn wal_replay_matches_concurrent_ingestion() {
         seal_threshold: 192,
     };
     let mut wal = Wal::open(&dir).unwrap();
-    let (store, report) = ingest_with_wal(&machines, &config, &mut wal).unwrap();
+    let (store, report) = ingest_merged(&machines, &config, Some(&mut wal));
     assert!(report.mutations > 0);
 
     // Precision was already applied at ingestion time, so replay at full
@@ -163,7 +178,7 @@ fn engine_wal_is_a_clean_frame_stream() {
     let _ = std::fs::remove_dir_all(&dir);
     let machines = fleet(3, 5);
     let mut wal = Wal::open(&dir).unwrap();
-    let (_, report) = ingest_with_wal(&machines, &FleetConfig::default(), &mut wal).unwrap();
+    let (_, report) = ingest_merged(&machines, &FleetConfig::default(), Some(&mut wal));
     drop(wal);
 
     let file = std::fs::File::open(dir.join("wal.log")).unwrap();

@@ -68,7 +68,7 @@ mod trial;
 mod user_model;
 
 pub use history::{singleton_clusters, sorted_cluster_infos, ClusterInfo};
-pub use parallel::{parallel_search, parallel_search_observed};
+pub use parallel::parallel_search;
 pub use screenshot::{Screenshot, ScreenshotGallery, SyncGallery};
 pub use search::{search, FixInfo, SearchConfig, SearchOutcome, SearchStrategy};
 pub use session::{CatalogHorizon, ClusterCatalog, RepairSession, SessionReport};

@@ -85,7 +85,7 @@ pub fn parallel_search(
 /// "everything prunable" bound: releasing the last of the protection is the
 /// pin drop's job, and the driver may still read the pinned snapshot while
 /// assembling its report.
-pub fn parallel_search_observed(
+pub(crate) fn parallel_search_observed(
     ttkv: &Ttkv,
     clusters: &[Vec<Key>],
     trial: &Trial,

@@ -131,7 +131,7 @@ impl ClusterCatalog {
 ///     shot.add_if(config.get_bool("app/toolbar").unwrap_or(false), "toolbar");
 ///     shot
 /// });
-/// let report = session.run(&trial, &FixOracle::element_visible("toolbar"));
+/// let report = session.run(&trial, &FixOracle::element_visible("toolbar"), |_| {});
 /// assert!(report.outcome.is_fixed());
 /// assert_eq!(report.user, "alice");
 /// ```
@@ -188,18 +188,15 @@ impl RepairSession {
     }
 
     /// Runs the rollback search to exhaustion and reports the outcome.
-    pub fn run(&self, trial: &Trial, oracle: &FixOracle) -> SessionReport {
-        self.run_observed(trial, oracle, |_| {})
-    }
-
-    /// Like [`RepairSession::run`], with a progress observer: after each
-    /// wave of trials, `on_progress` receives the oldest history timestamp
-    /// the remaining plan still needs (see
-    /// [`parallel_search_observed`](crate::parallel_search_observed)).
-    /// A service driver holding a retention pin feeds these reports into
-    /// [`ocasta_ttkv::HorizonPin::advance`] so a long session stops
-    /// starving fleet-wide retention as its candidate window shrinks.
-    pub fn run_observed(
+    ///
+    /// After each wave of trials, `on_progress` receives the oldest history
+    /// timestamp the remaining plan still needs; pass `|_| {}` to ignore
+    /// it. A service driver holding a retention pin feeds these reports
+    /// into [`ocasta_ttkv::HorizonPin::advance`] so a long session stops
+    /// starving fleet-wide retention as its candidate window shrinks. The
+    /// bounds are monotone non-decreasing, and the final wave reports
+    /// nothing: releasing the last of the protection is the pin drop's job.
+    pub fn run(
         &self,
         trial: &Trial,
         oracle: &FixOracle,
@@ -284,7 +281,11 @@ mod tests {
         assert_eq!(session.user(), "u0");
         assert_eq!(session.threads(), 1);
         assert_eq!(session.catalog().horizon().epoch, 7);
-        let report = session.run(&toolbar_trial(), &FixOracle::element_visible("toolbar"));
+        let report = session.run(
+            &toolbar_trial(),
+            &FixOracle::element_visible("toolbar"),
+            |_| {},
+        );
         assert!(report.is_fixed());
         assert_eq!(report.horizon.epoch, 7);
         assert_eq!(report.threads, 1);
@@ -309,7 +310,11 @@ mod tests {
                             SearchConfig::default(),
                         )
                         .with_threads(2);
-                        session.run(&toolbar_trial(), &FixOracle::element_visible("toolbar"))
+                        session.run(
+                            &toolbar_trial(),
+                            &FixOracle::element_visible("toolbar"),
+                            |_| {},
+                        )
                     })
                 })
                 .collect();
@@ -358,7 +363,7 @@ mod tests {
         let session = RepairSession::new("marathon", store, catalog, config);
         // The oracle never accepts, so the session tries every candidate —
         // the long-session worst case.
-        let report = session.run_observed(
+        let report = session.run(
             &Trial::new("launch", |_| Screenshot::new()),
             &FixOracle::element_visible("never-appears"),
             |needed| pin.advance(needed),

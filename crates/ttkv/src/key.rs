@@ -93,20 +93,6 @@ impl Borrow<str> for Key {
     }
 }
 
-#[cfg(feature = "serde")]
-impl serde::Serialize for Key {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.serialize_str(&self.0)
-    }
-}
-
-#[cfg(feature = "serde")]
-impl<'de> serde::Deserialize<'de> for Key {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        String::deserialize(deserializer).map(Key::from)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -28,10 +28,6 @@
 //! let snapshot = store.snapshot_at(Timestamp::from_secs(30));
 //! assert_eq!(snapshot.get_bool("mail/mark_seen"), Some(true));
 //! ```
-//!
-//! ## Feature flags
-//!
-//! * `serde` — derive `Serialize`/`Deserialize` on the public data types.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

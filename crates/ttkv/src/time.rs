@@ -26,7 +26,6 @@ use std::ops::{Add, AddAssign, Sub};
 /// assert_eq!(t.quantize_secs().as_millis(), 10_000);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Timestamp(u64);
 
 impl Timestamp {
@@ -137,7 +136,6 @@ impl Sub<Timestamp> for Timestamp {
 /// assert!(TimeDelta::from_days(1) > TimeDelta::from_secs(600));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TimeDelta(u64);
 
 impl TimeDelta {
@@ -223,7 +221,6 @@ impl fmt::Display for TimeDelta {
 /// [`TimePrecision::Milliseconds`] models the finer-grained infrastructure
 /// the authors suggest would eliminate most oversized clusters (§VI-A).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TimePrecision {
     /// Quantise timestamps to whole seconds (paper default).
     #[default]

@@ -30,7 +30,7 @@ fn main() {
 
     // 2. Ingest concurrently: lazy per-machine event streams feed
     //    hash-striped TTKV shards, every batch is WAL-logged first.
-    let run = run_fleet(&config).expect("catalog apps resolve");
+    let run = run_fleet(&config, None).expect("catalog apps resolve");
     println!("ingested: {}", run.report);
     println!("store:    {}", run.store.stats());
 

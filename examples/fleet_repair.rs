@@ -8,8 +8,8 @@
 
 use ocasta::fleet::{fleet_machines, FleetRunConfig};
 use ocasta::{
-    fleet_ingest_into, scenarios, FleetConfig, Ocasta, OcastaStream, RepairSession, SearchConfig,
-    ShardedTtkv, TimeDelta, Timestamp, WriteLanes,
+    fleet_ingest_live, scenarios, FleetConfig, IngestOptions, Ocasta, OcastaStream, RepairSession,
+    SearchConfig, ShardedTtkv, TimeDelta, Timestamp, WriteLanes,
 };
 
 fn main() {
@@ -52,7 +52,14 @@ fn main() {
 
     std::thread::scope(|scope| {
         // 3. Ingestion runs in the background for the whole example.
-        let ingest = scope.spawn(|| fleet_ingest_into(&machines, &config.engine, &sharded, &lanes));
+        let ingest = scope.spawn(|| {
+            let options = IngestOptions {
+                tap: Some(&lanes),
+                ..IngestOptions::default()
+            };
+            fleet_ingest_live(&machines, &config.engine, &sharded, options)
+                .expect("no WAL lane, no fault plan")
+        });
 
         // 4. Wait until the stream has seen enough of the fleet, then PIN:
         //    catalog first (so its horizon is a lower bound), snapshot
@@ -111,7 +118,7 @@ fn main() {
                 .with_threads(2);
                 let scenario = scenario.clone();
                 scope.spawn(move || {
-                    let report = session.run(&scenario.trial(), &scenario.oracle());
+                    let report = session.run(&scenario.trial(), &scenario.oracle(), |_| {});
                     (scenario, report)
                 })
             })

@@ -9,14 +9,22 @@
 //!   unbounded side pruned *once* at the current horizon — exactly, not
 //!   just on sampled queries — and the layered WAL must replay to the
 //!   same store at every checkpoint;
-//! * **engine**: a full `ingest` run with a `RetentionPolicy` must land on
+//! * **engine**: a full `ingest_live` run with a `RetentionPolicy` must land on
 //!   exactly `prune(horizon)` of the retention-off run, while every
 //!   post-horizon query and lifetime counter agrees.
 
 use ocasta::{
-    fleet_ingest, FleetConfig, KeyPlacement, MachineSpec, RetentionPolicy, ShardedTtkv, TimeDelta,
-    TimePrecision, TraceOp, Wal, WorkloadSpec,
+    fleet_ingest_live, FleetConfig, IngestOptions, KeyPlacement, MachineSpec, RetentionPolicy,
+    ShardedTtkv, TimeDelta, TimePrecision, TraceOp, Ttkv, Wal, WorkloadSpec,
 };
+
+/// Ingests the fleet into a fresh sharded store and merges it.
+fn ingest_merged(machines: &[MachineSpec], config: &FleetConfig) -> (Ttkv, ocasta::FleetReport) {
+    let sharded = ShardedTtkv::with_seal_threshold(config.shards, config.seal_threshold);
+    let report = fleet_ingest_live(machines, config, &sharded, IngestOptions::default())
+        .expect("ingest succeeds");
+    (sharded.into_ttkv(), report)
+}
 
 /// A small deterministic fleet (seeded workload generator).
 fn machines(count: usize, days: u64) -> Vec<MachineSpec> {
@@ -113,8 +121,8 @@ fn engine_retention_run_equals_unbounded_run_pruned_at_final_horizon() {
         placement: KeyPlacement::PerMachine,
         ..FleetConfig::default()
     };
-    let (reference, _) = fleet_ingest(&machines, &base);
-    let (pruned, report) = fleet_ingest(
+    let (reference, _) = ingest_merged(&machines, &base);
+    let (pruned, report) = ingest_merged(
         &machines,
         &FleetConfig {
             retention: Some(RetentionPolicy {
